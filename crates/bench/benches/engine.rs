@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use smbm_core::WorkSystem;
+use smbm_core::DatapathSystem;
 use smbm_core::{exact_work_opt, Lwd, Mrd, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner};
 use smbm_obs::HistogramRecorder;
 use smbm_sim::{run_value, run_work, run_work_observed, EngineConfig};
@@ -212,14 +212,14 @@ fn observer_overhead(c: &mut Criterion) {
                 for &pkt in burst {
                     let _ = runner.offer(pkt).expect("LWD never errs");
                 }
-                runner.transmission_phase();
+                runner.transmission();
                 runner.end_slot();
                 slots += 1;
                 let occ = runner.occupancy();
                 occ_sum += occ as u64;
                 occ_max = occ_max.max(occ);
             }
-            black_box((WorkSystem::transmitted(&runner), slots, occ_sum, occ_max))
+            black_box((runner.transmitted(), slots, occ_sum, occ_max))
         });
     });
     group.bench_function("histogram-recorder", |b| {

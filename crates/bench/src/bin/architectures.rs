@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 
 use smbm_core::{
-    work_policy_by_name, FifoAdmission, SingleFifoQueue, WorkPqOpt, WorkRunner, WorkSystem,
+    work_policy_by_name, DatapathSystem, FifoAdmission, SingleFifoQueue, WorkPqOpt, WorkRunner,
 };
 use smbm_sim::{run_work, EngineConfig};
 use smbm_switch::WorkSwitchConfig;

@@ -695,7 +695,6 @@ fn render_serve(
 }
 
 fn serve(args: &Args, stdin: &str) -> Result<String, String> {
-    use smbm_runtime::{ValueService, WorkService};
     if args.get("listen").is_some() {
         return serve_listen(args);
     }
@@ -758,7 +757,7 @@ fn serve(args: &Args, stdin: &str) -> Result<String, String> {
                 flight,
                 move || {
                     let policy = smbm_core::work_policy_by_name(&factory_name).expect("validated");
-                    WorkService::new(smbm_core::WorkRunner::new(cfg.clone(), policy, speedup))
+                    smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
                 },
             );
             render_serve(header, "packets", &report).map(|out| out + &sinks)
@@ -786,7 +785,7 @@ fn serve(args: &Args, stdin: &str) -> Result<String, String> {
                 flight,
                 move || {
                     let policy = smbm_core::value_policy_by_name(&factory_name).expect("validated");
-                    ValueService::new(smbm_core::ValueRunner::new(cfg, policy, speedup))
+                    smbm_core::ValueRunner::new(cfg, policy, speedup)
                 },
             );
             render_serve(header, "value", &report).map(|out| out + &sinks)

@@ -37,6 +37,13 @@
 //!   tiny instances by memoized search, used by the test-suite to verify
 //!   Theorem 7's `OPT <= 2 * LWD` exactly.
 //!
+//! ## One system interface
+//!
+//! [`DatapathSystem`] is what the slot machine in `smbm-datapath` drives,
+//! offline and live. The runners, the OPT surrogates and
+//! [`SingleFifoQueue`] implement it directly; the packet type selects the
+//! model.
+//!
 //! ## Example
 //!
 //! ```
@@ -78,7 +85,7 @@ pub use opt::exact::{exact_value_opt, exact_work_opt, TooLargeError, MAX_EXACT_A
 pub use opt::single_pq::{ValuePqOpt, WorkPqOpt};
 pub use ratio::CompetitiveRatio;
 pub use singleq::{FifoAdmission, SingleFifoQueue};
-pub use system::{CombinedSystem, ValueSystem, WorkSystem};
+pub use system::DatapathSystem;
 pub use value::{
     value_policy_by_name, CappedValue, GreedyValue, LqdValue, Mrd, MrdStrict, Mvd, NestValue,
     NhstValue, ValuePolicy, ValueRunner, VALUE_POLICY_NAMES,

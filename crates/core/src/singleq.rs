@@ -13,10 +13,10 @@
 use std::collections::VecDeque;
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, Counters, DropReason, PortId, Slot, Work, WorkPacket,
+    AdmitError, ArrivalOutcome, Counters, DropReason, PortId, Slot, Transmitted, Work, WorkPacket,
 };
 
-use crate::WorkSystem;
+use crate::DatapathSystem;
 
 /// Admission behaviour of the single FIFO queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,17 +34,17 @@ pub enum FifoAdmission {
 /// cores: each slot, the first `m` resident packets receive one processing
 /// cycle each; completed packets leave and the window slides forward.
 ///
-/// Implements [`WorkSystem`], so it can be driven by the same engine and
-/// traces as the shared-memory switches.
+/// Implements [`DatapathSystem`], so it can be driven by the same slot
+/// machine and traces as the shared-memory switches.
 ///
 /// ```
-/// use smbm_core::{SingleFifoQueue, FifoAdmission, WorkSystem};
+/// use smbm_core::{DatapathSystem, FifoAdmission, SingleFifoQueue};
 /// use smbm_switch::{PortId, Work, WorkPacket};
 ///
 /// let mut q = SingleFifoQueue::new(4, 2, FifoAdmission::Greedy);
 /// q.offer(WorkPacket::new(PortId::new(0), Work::new(1)))?;
 /// q.offer(WorkPacket::new(PortId::new(0), Work::new(3)))?;
-/// assert_eq!(q.transmission_phase(), 1); // the 1-cycle packet finishes
+/// assert_eq!(q.transmission(), 1); // the 1-cycle packet finishes
 /// # Ok::<(), smbm_switch::AdmitError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -135,41 +135,8 @@ impl SingleFifoQueue {
         }
     }
 
-    /// Verifies occupancy and conservation; test oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if self.residuals.len() > self.buffer {
-            return Err(format!(
-                "occupancy {} exceeds buffer {}",
-                self.residuals.len(),
-                self.buffer
-            ));
-        }
-        if self.residuals.iter().any(|&(r, _)| r == 0) {
-            return Err("zero-residual packet left in buffer".into());
-        }
-        self.counters
-            .check_conservation(self.residuals.len())
-            .map_err(|e| e.to_string())
-    }
-}
-
-impl WorkSystem for SingleFifoQueue {
-    fn label(&self) -> String {
-        match self.admission {
-            FifoAdmission::Greedy => format!("1Q-FIFO(greedy,{}cores)", self.cores),
-            FifoAdmission::PushOutLargest => format!("1Q-FIFO(pushout,{}cores)", self.cores),
-        }
-    }
-
-    fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
-        Ok(self.offer_work(pkt.work()))
-    }
-
-    fn transmission_phase(&mut self) -> u64 {
+    /// Runs one transmission phase; returns the packets that completed.
+    pub fn transmission(&mut self) -> u64 {
         // The first `cores` packets each receive one cycle, run to
         // completion: no overtaking in dispatch order, but shorter packets
         // deeper in the service window may finish earlier.
@@ -194,6 +161,50 @@ impl WorkSystem for SingleFifoQueue {
         completed
     }
 
+    /// Verifies occupancy and conservation; test oracle.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.residuals.len() > self.buffer {
+            return Err(format!(
+                "occupancy {} exceeds buffer {}",
+                self.residuals.len(),
+                self.buffer
+            ));
+        }
+        if self.residuals.iter().any(|&(r, _)| r == 0) {
+            return Err("zero-residual packet left in buffer".into());
+        }
+        self.counters
+            .check_conservation(self.residuals.len())
+            .map_err(|e| e.to_string())
+    }
+}
+
+impl DatapathSystem for SingleFifoQueue {
+    type Packet = WorkPacket;
+
+    fn label(&self) -> String {
+        match self.admission {
+            FifoAdmission::Greedy => format!("1Q-FIFO(greedy,{}cores)", self.cores),
+            FifoAdmission::PushOutLargest => format!("1Q-FIFO(pushout,{}cores)", self.cores),
+        }
+    }
+
+    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
+        (pkt.port(), pkt.work().cycles(), 1)
+    }
+
+    fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
+        Ok(self.offer_work(pkt.work()))
+    }
+
+    fn transmission_phase_into(&mut self, _out: &mut Vec<Transmitted>) -> u64 {
+        self.transmission()
+    }
+
     fn end_slot(&mut self) {
         self.now = self.now.next();
     }
@@ -205,12 +216,12 @@ impl WorkSystem for SingleFifoQueue {
         n
     }
 
-    fn transmitted(&self) -> u64 {
-        self.counters.transmitted()
-    }
-
     fn occupancy(&self) -> usize {
         self.residuals.len()
+    }
+
+    fn score(&self) -> u64 {
+        self.counters.transmitted()
     }
 }
 
@@ -243,11 +254,11 @@ mod tests {
         assert_eq!(q.counters().pushed_out(), 1);
         assert_eq!(q.occupancy(), 2);
         // Service order is still FIFO: the 3 (now first) is served first.
-        assert_eq!(q.transmission_phase(), 0);
+        assert_eq!(q.transmission(), 0);
         q.end_slot();
-        assert_eq!(q.transmission_phase(), 0);
+        assert_eq!(q.transmission(), 0);
         q.end_slot();
-        assert_eq!(q.transmission_phase(), 1); // 3 done after 3 cycles
+        assert_eq!(q.transmission(), 1); // 3 done after 3 cycles
         q.check_invariants().unwrap();
     }
 
@@ -258,12 +269,12 @@ mod tests {
         q.offer(pkt(1)).unwrap();
         q.offer(pkt(1)).unwrap();
         // Cores serve the 3 and the first 1; the second 1 waits.
-        assert_eq!(q.transmission_phase(), 1);
+        assert_eq!(q.transmission(), 1);
         q.end_slot();
         // Now window = {3 (res 2), second 1}.
-        assert_eq!(q.transmission_phase(), 1);
+        assert_eq!(q.transmission(), 1);
         q.end_slot();
-        assert_eq!(q.transmission_phase(), 1); // the 3 finishes
+        assert_eq!(q.transmission(), 1); // the 3 finishes
         assert_eq!(q.occupancy(), 0);
         q.check_invariants().unwrap();
     }
@@ -278,8 +289,8 @@ mod tests {
             q.offer(pkt(1)).unwrap();
         }
         let mut slots_to_first = 0;
-        while q.transmitted() == 0 {
-            q.transmission_phase();
+        while q.score() == 0 {
+            q.transmission();
             q.end_slot();
             slots_to_first += 1;
             assert!(slots_to_first <= 10);
@@ -293,7 +304,7 @@ mod tests {
         q.offer(pkt(1)).unwrap();
         q.end_slot();
         q.end_slot();
-        q.transmission_phase();
+        q.transmission();
         assert_eq!(q.counters().max_latency(), 2);
     }
 
@@ -303,8 +314,8 @@ mod tests {
         for w in [1, 2, 3] {
             q.offer(pkt(w)).unwrap();
         }
-        q.transmission_phase();
-        WorkSystem::flush(&mut q);
+        q.transmission();
+        q.flush();
         assert_eq!(q.occupancy(), 0);
         q.check_invariants().unwrap();
     }

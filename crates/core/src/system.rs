@@ -1,26 +1,188 @@
-//! Uniform interfaces over "things that receive a packet stream" — policy
-//! runners and OPT surrogates — so the simulation engine can drive an
-//! algorithm and its yardstick through identical slot phases.
+//! The one interface over "things that receive a packet stream": policy
+//! runners, OPT surrogates and the single-FIFO baseline all implement
+//! [`DatapathSystem`], so the slot machine drives an algorithm and its
+//! yardstick through identical slot phases, offline and live.
 //!
 //! Every hook reports enough detail for instrumentation: [`offer`] returns
 //! the packet's fate ([`ArrivalOutcome`]), [`flush`] the number of discarded
 //! packets, and [`transmission_phase_into`] appends per-packet completion
 //! records for systems that track them (the shared-memory runners do; the
-//! aggregate OPT surrogates fall back to the totals-only default).
+//! aggregate OPT surrogates leave `out` untouched).
 //!
-//! [`offer`]: WorkSystem::offer
-//! [`flush`]: WorkSystem::flush
-//! [`transmission_phase_into`]: WorkSystem::transmission_phase_into
+//! [`offer`]: DatapathSystem::offer
+//! [`flush`]: DatapathSystem::flush
+//! [`transmission_phase_into`]: DatapathSystem::transmission_phase_into
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, CombinedPacket, Counters, DropReason, Transmitted, ValuePacket,
-    WorkPacket,
+    AdmitError, ArrivalOutcome, CombinedPacket, Counters, DropReason, PortId, Transmitted,
+    ValuePacket, WorkPacket,
 };
 
 use crate::{
     CombinedPolicy, CombinedPqOpt, CombinedRunner, Decision, ValuePolicy, ValuePqOpt, ValueRunner,
     WorkPolicy, WorkPqOpt, WorkRunner,
 };
+
+/// What the slot machine needs from the system it drives: burst admission,
+/// transmission, slot bookkeeping, flush, and the scalar gauges the
+/// drivers report.
+///
+/// The packet type selects the model: [`WorkPacket`] (throughput
+/// objective, per-port work), [`ValuePacket`] (value objective, unit work)
+/// or [`CombinedPacket`] (value objective, per-port work).
+///
+/// `meta` is an associated function (not a method) so callers — the
+/// runtime's producers attributing value to backpressure-rejected packets,
+/// the machine emitting arrival events — can carry it as a plain `fn`
+/// pointer without touching the system.
+pub trait DatapathSystem {
+    /// The packet type flowing through the datapath. Plain data: every
+    /// model's packet is `Copy` and crosses threads in the runtime's
+    /// ingress rings.
+    type Packet: Copy + Send + 'static;
+
+    /// Human-readable label (the policy name) for reports.
+    fn label(&self) -> String;
+
+    /// Destination port, work cycles, and value of a packet (1 wherever the
+    /// model lacks the dimension), feeding arrival events.
+    fn meta(pkt: Self::Packet) -> (PortId, u32, u64);
+
+    /// Offers one packet to admission control, reporting its fate. The
+    /// machine's arrival phase is built on this (per-packet, so observer
+    /// events interleave with admission and nothing is materialized on the
+    /// hot path).
+    ///
+    /// # Errors
+    ///
+    /// Surfaces an [`AdmitError`] (an inconsistent policy decision).
+    fn offer(&mut self, pkt: Self::Packet) -> Result<ArrivalOutcome, AdmitError>;
+
+    /// Offers a whole burst to admission control, appending one outcome per
+    /// packet in offer order. The default loops over
+    /// [`DatapathSystem::offer`].
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first [`AdmitError`] (an inconsistent policy decision);
+    /// outcomes already appended stay.
+    fn offer_burst(
+        &mut self,
+        pkts: &[Self::Packet],
+        outcomes: &mut Vec<ArrivalOutcome>,
+    ) -> Result<(), AdmitError> {
+        outcomes.reserve(pkts.len());
+        for &pkt in pkts {
+            outcomes.push(self.offer(pkt)?);
+        }
+        Ok(())
+    }
+
+    /// Runs one transmission phase, appending per-packet completion records
+    /// for systems that track them; returns the phase's contribution to the
+    /// objective (packets in the work model, value otherwise).
+    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64;
+
+    /// Marks the end of the slot (advances the switch clock).
+    fn end_slot(&mut self);
+
+    /// Discards all buffered packets; returns how many were discarded.
+    fn flush(&mut self) -> u64;
+
+    /// Packets currently buffered.
+    fn occupancy(&self) -> usize;
+
+    /// The objective so far: packets transmitted (work model) or value
+    /// transmitted (value/combined models).
+    fn score(&self) -> u64;
+
+    /// The configured shared buffer limit B (telemetry gauge). Defaults to
+    /// 0 for systems without one (the aggregate OPT surrogates).
+    fn buffer_limit(&self) -> usize {
+        0
+    }
+
+    /// The configured output port count n (telemetry gauge). Defaults to 0
+    /// for systems without one.
+    fn ports(&self) -> usize {
+        0
+    }
+
+    /// Length of the longest output queue right now (telemetry gauge).
+    /// Defaults to 0 for systems that do not track per-port queues.
+    fn max_queue_depth(&self) -> usize {
+        0
+    }
+
+    /// Snapshot of the switch's lifetime counters. Defaults to empty for
+    /// systems that do not keep them.
+    fn counters(&self) -> Counters {
+        Counters::new()
+    }
+}
+
+/// A `&mut` borrow drives the underlying system in place, so the offline
+/// engine runs a caller-owned system through the same machine the runtime
+/// drives with owned ones.
+impl<S: DatapathSystem> DatapathSystem for &mut S {
+    type Packet = S::Packet;
+
+    fn label(&self) -> String {
+        (**self).label()
+    }
+
+    fn meta(pkt: S::Packet) -> (PortId, u32, u64) {
+        S::meta(pkt)
+    }
+
+    fn offer(&mut self, pkt: S::Packet) -> Result<ArrivalOutcome, AdmitError> {
+        (**self).offer(pkt)
+    }
+
+    fn offer_burst(
+        &mut self,
+        pkts: &[S::Packet],
+        outcomes: &mut Vec<ArrivalOutcome>,
+    ) -> Result<(), AdmitError> {
+        (**self).offer_burst(pkts, outcomes)
+    }
+
+    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
+        (**self).transmission_phase_into(out)
+    }
+
+    fn end_slot(&mut self) {
+        (**self).end_slot();
+    }
+
+    fn flush(&mut self) -> u64 {
+        (**self).flush()
+    }
+
+    fn occupancy(&self) -> usize {
+        (**self).occupancy()
+    }
+
+    fn score(&self) -> u64 {
+        (**self).score()
+    }
+
+    fn buffer_limit(&self) -> usize {
+        (**self).buffer_limit()
+    }
+
+    fn ports(&self) -> usize {
+        (**self).ports()
+    }
+
+    fn max_queue_depth(&self) -> usize {
+        (**self).max_queue_depth()
+    }
+
+    fn counters(&self) -> Counters {
+        (**self).counters()
+    }
+}
 
 /// Classifies a policy decision as an [`ArrivalOutcome`], distinguishing
 /// drops forced by a full buffer from voluntary policy rejections.
@@ -36,161 +198,20 @@ fn classify(decision: Decision, was_full: bool) -> ArrivalOutcome {
     }
 }
 
-/// A system processing work-labelled packets slot by slot.
-pub trait WorkSystem {
-    /// Human-readable label for reports.
-    fn label(&self) -> String;
+impl<P: WorkPolicy> DatapathSystem for WorkRunner<P> {
+    type Packet = WorkPacket;
 
-    /// Presents one arrival during the current slot's arrival phase,
-    /// reporting the packet's fate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an [`AdmitError`] from an inconsistent policy decision.
-    fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError>;
-
-    /// Presents a whole arrival burst, appending one outcome per packet to
-    /// `outcomes` in offer order. The default loops over [`WorkSystem::offer`];
-    /// batch-oriented callers (the live runtime's ingress path) get a single
-    /// virtual dispatch per burst instead of one per packet.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`AdmitError`]; outcomes already appended stay.
-    fn offer_burst(
-        &mut self,
-        pkts: &[WorkPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        outcomes.reserve(pkts.len());
-        for &pkt in pkts {
-            outcomes.push(self.offer(pkt)?);
-        }
-        Ok(())
-    }
-
-    /// Runs the transmission phase; returns packets transmitted.
-    fn transmission_phase(&mut self) -> u64;
-
-    /// Like [`WorkSystem::transmission_phase`], additionally appending
-    /// per-packet completion records to `out` when the system tracks them.
-    /// The default ignores `out` (aggregate-only systems).
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        let _ = out;
-        self.transmission_phase()
-    }
-
-    /// Marks the end of the slot.
-    fn end_slot(&mut self);
-
-    /// Discards all buffered packets (simulation flushout); returns how many
-    /// were discarded.
-    fn flush(&mut self) -> u64;
-
-    /// Packets transmitted since construction.
-    fn transmitted(&self) -> u64;
-
-    /// Packets currently buffered.
-    fn occupancy(&self) -> usize;
-
-    /// The configured shared buffer limit B. Defaults to 0 for systems
-    /// without one (the aggregate OPT surrogates).
-    fn buffer_limit(&self) -> usize {
-        0
-    }
-
-    /// The configured output port count n. Defaults to 0 for systems
-    /// without one.
-    fn ports(&self) -> usize {
-        0
-    }
-
-    /// Length of the longest output queue right now. Defaults to 0 for
-    /// systems that do not track per-port queues.
-    fn max_queue_depth(&self) -> usize {
-        0
-    }
-
-    /// Snapshot of the switch's lifetime counters. Defaults to empty for
-    /// systems that do not keep them.
-    fn counters(&self) -> Counters {
-        Counters::new()
-    }
-}
-
-/// A `&mut` borrow drives the underlying system in place, so the engine can
-/// run a caller-owned system through the same adapters the runtime uses
-/// with owned ones.
-impl<S: WorkSystem + ?Sized> WorkSystem for &mut S {
-    fn label(&self) -> String {
-        (**self).label()
-    }
-
-    fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
-        (**self).offer(pkt)
-    }
-
-    fn offer_burst(
-        &mut self,
-        pkts: &[WorkPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        (**self).offer_burst(pkts, outcomes)
-    }
-
-    fn transmission_phase(&mut self) -> u64 {
-        (**self).transmission_phase()
-    }
-
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        (**self).transmission_phase_into(out)
-    }
-
-    fn end_slot(&mut self) {
-        (**self).end_slot();
-    }
-
-    fn flush(&mut self) -> u64 {
-        (**self).flush()
-    }
-
-    fn transmitted(&self) -> u64 {
-        (**self).transmitted()
-    }
-
-    fn occupancy(&self) -> usize {
-        (**self).occupancy()
-    }
-
-    fn buffer_limit(&self) -> usize {
-        (**self).buffer_limit()
-    }
-
-    fn ports(&self) -> usize {
-        (**self).ports()
-    }
-
-    fn max_queue_depth(&self) -> usize {
-        (**self).max_queue_depth()
-    }
-
-    fn counters(&self) -> Counters {
-        (**self).counters()
-    }
-}
-
-impl<P: WorkPolicy> WorkSystem for WorkRunner<P> {
     fn label(&self) -> String {
         self.policy().name().to_owned()
+    }
+
+    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
+        (pkt.port(), pkt.work().cycles(), 1)
     }
 
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         let was_full = self.switch().is_full();
         Ok(classify(self.arrival(pkt)?, was_full))
-    }
-
-    fn transmission_phase(&mut self) -> u64 {
-        self.transmission().transmitted
     }
 
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
@@ -205,12 +226,12 @@ impl<P: WorkPolicy> WorkSystem for WorkRunner<P> {
         WorkRunner::flush(self)
     }
 
-    fn transmitted(&self) -> u64 {
-        WorkRunner::transmitted(self)
-    }
-
     fn occupancy(&self) -> usize {
         self.switch().occupancy()
+    }
+
+    fn score(&self) -> u64 {
+        self.transmitted()
     }
 
     fn buffer_limit(&self) -> usize {
@@ -230,17 +251,23 @@ impl<P: WorkPolicy> WorkSystem for WorkRunner<P> {
     }
 }
 
-impl WorkSystem for WorkPqOpt {
+impl DatapathSystem for WorkPqOpt {
+    type Packet = WorkPacket;
+
     fn label(&self) -> String {
         format!("OPT(pq,{}cores)", self.cores())
+    }
+
+    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
+        (pkt.port(), pkt.work().cycles(), 1)
     }
 
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         Ok(WorkPqOpt::offer(self, pkt))
     }
 
-    fn transmission_phase(&mut self) -> u64 {
-        WorkPqOpt::transmission(self)
+    fn transmission_phase_into(&mut self, _out: &mut Vec<Transmitted>) -> u64 {
+        self.transmission()
     }
 
     fn end_slot(&mut self) {}
@@ -249,170 +276,29 @@ impl WorkSystem for WorkPqOpt {
         WorkPqOpt::flush(self)
     }
 
-    fn transmitted(&self) -> u64 {
-        WorkPqOpt::transmitted(self)
-    }
-
     fn occupancy(&self) -> usize {
         WorkPqOpt::occupancy(self)
     }
-}
 
-/// A system processing value-labelled packets slot by slot.
-pub trait ValueSystem {
-    /// Human-readable label for reports.
-    fn label(&self) -> String;
-
-    /// Presents one arrival during the current slot's arrival phase,
-    /// reporting the packet's fate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an [`AdmitError`] from an inconsistent policy decision.
-    fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError>;
-
-    /// Presents a whole arrival burst, appending one outcome per packet to
-    /// `outcomes` in offer order. The default loops over
-    /// [`ValueSystem::offer`]; batch-oriented callers (the live runtime's
-    /// ingress path) get a single virtual dispatch per burst instead of one
-    /// per packet.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`AdmitError`]; outcomes already appended stay.
-    fn offer_burst(
-        &mut self,
-        pkts: &[ValuePacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        outcomes.reserve(pkts.len());
-        for &pkt in pkts {
-            outcomes.push(self.offer(pkt)?);
-        }
-        Ok(())
-    }
-
-    /// Runs the transmission phase; returns the value transmitted.
-    fn transmission_phase(&mut self) -> u64;
-
-    /// Like [`ValueSystem::transmission_phase`], additionally appending
-    /// per-packet completion records to `out` when the system tracks them.
-    /// The default ignores `out` (aggregate-only systems).
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        let _ = out;
-        self.transmission_phase()
-    }
-
-    /// Marks the end of the slot.
-    fn end_slot(&mut self);
-
-    /// Discards all buffered packets (simulation flushout); returns how many
-    /// were discarded.
-    fn flush(&mut self) -> u64;
-
-    /// Total value transmitted since construction.
-    fn transmitted_value(&self) -> u64;
-
-    /// Packets currently buffered.
-    fn occupancy(&self) -> usize;
-
-    /// The configured shared buffer limit B. Defaults to 0 for systems
-    /// without one (the aggregate OPT surrogates).
-    fn buffer_limit(&self) -> usize {
-        0
-    }
-
-    /// The configured output port count n. Defaults to 0 for systems
-    /// without one.
-    fn ports(&self) -> usize {
-        0
-    }
-
-    /// Length of the longest output queue right now. Defaults to 0 for
-    /// systems that do not track per-port queues.
-    fn max_queue_depth(&self) -> usize {
-        0
-    }
-
-    /// Snapshot of the switch's lifetime counters. Defaults to empty for
-    /// systems that do not keep them.
-    fn counters(&self) -> Counters {
-        Counters::new()
+    fn score(&self) -> u64 {
+        self.transmitted()
     }
 }
 
-/// A `&mut` borrow drives the underlying system in place (see the
-/// [`WorkSystem`] blanket impl).
-impl<S: ValueSystem + ?Sized> ValueSystem for &mut S {
-    fn label(&self) -> String {
-        (**self).label()
-    }
+impl<P: ValuePolicy> DatapathSystem for ValueRunner<P> {
+    type Packet = ValuePacket;
 
-    fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError> {
-        (**self).offer(pkt)
-    }
-
-    fn offer_burst(
-        &mut self,
-        pkts: &[ValuePacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        (**self).offer_burst(pkts, outcomes)
-    }
-
-    fn transmission_phase(&mut self) -> u64 {
-        (**self).transmission_phase()
-    }
-
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        (**self).transmission_phase_into(out)
-    }
-
-    fn end_slot(&mut self) {
-        (**self).end_slot();
-    }
-
-    fn flush(&mut self) -> u64 {
-        (**self).flush()
-    }
-
-    fn transmitted_value(&self) -> u64 {
-        (**self).transmitted_value()
-    }
-
-    fn occupancy(&self) -> usize {
-        (**self).occupancy()
-    }
-
-    fn buffer_limit(&self) -> usize {
-        (**self).buffer_limit()
-    }
-
-    fn ports(&self) -> usize {
-        (**self).ports()
-    }
-
-    fn max_queue_depth(&self) -> usize {
-        (**self).max_queue_depth()
-    }
-
-    fn counters(&self) -> Counters {
-        (**self).counters()
-    }
-}
-
-impl<P: ValuePolicy> ValueSystem for ValueRunner<P> {
     fn label(&self) -> String {
         self.policy().name().to_owned()
+    }
+
+    fn meta(pkt: ValuePacket) -> (PortId, u32, u64) {
+        (pkt.port(), 1, pkt.value().get())
     }
 
     fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError> {
         let was_full = self.switch().is_full();
         Ok(classify(self.arrival(pkt)?, was_full))
-    }
-
-    fn transmission_phase(&mut self) -> u64 {
-        self.transmission().value
     }
 
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
@@ -427,12 +313,12 @@ impl<P: ValuePolicy> ValueSystem for ValueRunner<P> {
         ValueRunner::flush(self)
     }
 
-    fn transmitted_value(&self) -> u64 {
-        ValueRunner::transmitted_value(self)
-    }
-
     fn occupancy(&self) -> usize {
         self.switch().occupancy()
+    }
+
+    fn score(&self) -> u64 {
+        self.transmitted_value()
     }
 
     fn buffer_limit(&self) -> usize {
@@ -452,17 +338,23 @@ impl<P: ValuePolicy> ValueSystem for ValueRunner<P> {
     }
 }
 
-impl ValueSystem for ValuePqOpt {
+impl DatapathSystem for ValuePqOpt {
+    type Packet = ValuePacket;
+
     fn label(&self) -> String {
         format!("OPT(pq,{}cores)", self.cores())
+    }
+
+    fn meta(pkt: ValuePacket) -> (PortId, u32, u64) {
+        (pkt.port(), 1, pkt.value().get())
     }
 
     fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError> {
         Ok(ValuePqOpt::offer(self, pkt))
     }
 
-    fn transmission_phase(&mut self) -> u64 {
-        ValuePqOpt::transmission(self)
+    fn transmission_phase_into(&mut self, _out: &mut Vec<Transmitted>) -> u64 {
+        self.transmission()
     }
 
     fn end_slot(&mut self) {}
@@ -471,169 +363,29 @@ impl ValueSystem for ValuePqOpt {
         ValuePqOpt::flush(self)
     }
 
-    fn transmitted_value(&self) -> u64 {
-        ValuePqOpt::transmitted_value(self)
-    }
-
     fn occupancy(&self) -> usize {
         ValuePqOpt::occupancy(self)
     }
-}
 
-/// A system processing combined-model packets slot by slot (extension).
-pub trait CombinedSystem {
-    /// Human-readable label for reports.
-    fn label(&self) -> String;
-
-    /// Presents one arrival during the arrival phase, reporting the packet's
-    /// fate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an [`AdmitError`] from an inconsistent policy decision.
-    fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError>;
-
-    /// Presents a whole arrival burst, appending one outcome per packet to
-    /// `outcomes` in offer order. The default loops over
-    /// [`CombinedSystem::offer`]; batch-oriented callers (the live runtime's
-    /// ingress path) get a single virtual dispatch per burst instead of one
-    /// per packet.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`AdmitError`]; outcomes already appended stay.
-    fn offer_burst(
-        &mut self,
-        pkts: &[CombinedPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        outcomes.reserve(pkts.len());
-        for &pkt in pkts {
-            outcomes.push(self.offer(pkt)?);
-        }
-        Ok(())
-    }
-
-    /// Runs the transmission phase; returns the value transmitted.
-    fn transmission_phase(&mut self) -> u64;
-
-    /// Like [`CombinedSystem::transmission_phase`], additionally appending
-    /// per-packet completion records to `out` when the system tracks them.
-    /// The default ignores `out` (aggregate-only systems).
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        let _ = out;
-        self.transmission_phase()
-    }
-
-    /// Marks the end of the slot.
-    fn end_slot(&mut self);
-
-    /// Discards all buffered packets; returns how many were discarded.
-    fn flush(&mut self) -> u64;
-
-    /// Total value transmitted since construction.
-    fn transmitted_value(&self) -> u64;
-
-    /// Packets currently buffered.
-    fn occupancy(&self) -> usize;
-
-    /// The configured shared buffer limit B. Defaults to 0 for systems
-    /// without one (the aggregate OPT surrogates).
-    fn buffer_limit(&self) -> usize {
-        0
-    }
-
-    /// The configured output port count n. Defaults to 0 for systems
-    /// without one.
-    fn ports(&self) -> usize {
-        0
-    }
-
-    /// Length of the longest output queue right now. Defaults to 0 for
-    /// systems that do not track per-port queues.
-    fn max_queue_depth(&self) -> usize {
-        0
-    }
-
-    /// Snapshot of the switch's lifetime counters. Defaults to empty for
-    /// systems that do not keep them.
-    fn counters(&self) -> Counters {
-        Counters::new()
+    fn score(&self) -> u64 {
+        self.transmitted_value()
     }
 }
 
-/// A `&mut` borrow drives the underlying system in place (see the
-/// [`WorkSystem`] blanket impl).
-impl<S: CombinedSystem + ?Sized> CombinedSystem for &mut S {
-    fn label(&self) -> String {
-        (**self).label()
-    }
+impl<P: CombinedPolicy> DatapathSystem for CombinedRunner<P> {
+    type Packet = CombinedPacket;
 
-    fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError> {
-        (**self).offer(pkt)
-    }
-
-    fn offer_burst(
-        &mut self,
-        pkts: &[CombinedPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        (**self).offer_burst(pkts, outcomes)
-    }
-
-    fn transmission_phase(&mut self) -> u64 {
-        (**self).transmission_phase()
-    }
-
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        (**self).transmission_phase_into(out)
-    }
-
-    fn end_slot(&mut self) {
-        (**self).end_slot();
-    }
-
-    fn flush(&mut self) -> u64 {
-        (**self).flush()
-    }
-
-    fn transmitted_value(&self) -> u64 {
-        (**self).transmitted_value()
-    }
-
-    fn occupancy(&self) -> usize {
-        (**self).occupancy()
-    }
-
-    fn buffer_limit(&self) -> usize {
-        (**self).buffer_limit()
-    }
-
-    fn ports(&self) -> usize {
-        (**self).ports()
-    }
-
-    fn max_queue_depth(&self) -> usize {
-        (**self).max_queue_depth()
-    }
-
-    fn counters(&self) -> Counters {
-        (**self).counters()
-    }
-}
-
-impl<P: CombinedPolicy> CombinedSystem for CombinedRunner<P> {
     fn label(&self) -> String {
         self.policy().name().to_owned()
+    }
+
+    fn meta(pkt: CombinedPacket) -> (PortId, u32, u64) {
+        (pkt.port(), pkt.work().cycles(), pkt.value().get())
     }
 
     fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError> {
         let was_full = self.switch().is_full();
         Ok(classify(self.arrival(pkt)?, was_full))
-    }
-
-    fn transmission_phase(&mut self) -> u64 {
-        self.transmission().value
     }
 
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
@@ -648,12 +400,12 @@ impl<P: CombinedPolicy> CombinedSystem for CombinedRunner<P> {
         CombinedRunner::flush(self)
     }
 
-    fn transmitted_value(&self) -> u64 {
-        CombinedRunner::transmitted_value(self)
-    }
-
     fn occupancy(&self) -> usize {
         self.switch().occupancy()
+    }
+
+    fn score(&self) -> u64 {
+        self.transmitted_value()
     }
 
     fn buffer_limit(&self) -> usize {
@@ -673,17 +425,23 @@ impl<P: CombinedPolicy> CombinedSystem for CombinedRunner<P> {
     }
 }
 
-impl CombinedSystem for CombinedPqOpt {
+impl DatapathSystem for CombinedPqOpt {
+    type Packet = CombinedPacket;
+
     fn label(&self) -> String {
         format!("OPT(density,{}cores)", self.cores())
+    }
+
+    fn meta(pkt: CombinedPacket) -> (PortId, u32, u64) {
+        (pkt.port(), pkt.work().cycles(), pkt.value().get())
     }
 
     fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError> {
         Ok(CombinedPqOpt::offer(self, pkt))
     }
 
-    fn transmission_phase(&mut self) -> u64 {
-        CombinedPqOpt::transmission(self)
+    fn transmission_phase_into(&mut self, _out: &mut Vec<Transmitted>) -> u64 {
+        self.transmission()
     }
 
     fn end_slot(&mut self) {}
@@ -692,65 +450,53 @@ impl CombinedSystem for CombinedPqOpt {
         CombinedPqOpt::flush(self)
     }
 
-    fn transmitted_value(&self) -> u64 {
-        CombinedPqOpt::transmitted_value(self)
-    }
-
     fn occupancy(&self) -> usize {
         CombinedPqOpt::occupancy(self)
+    }
+
+    fn score(&self) -> u64 {
+        self.transmitted_value()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GreedyValue, Lwd};
-    use smbm_switch::{PortId, Value, ValueSwitchConfig, Work, WorkSwitchConfig};
+    use crate::{GreedyValue, Lwd, Nest};
+    use smbm_switch::{Value, ValueSwitchConfig, Work, WorkSwitchConfig};
+
+    /// One admitted packet, one transmission phase: every system reports
+    /// the same fate and objective through the shared interface.
+    fn admit_and_transmit<S: DatapathSystem>(mut sys: S, pkt: S::Packet, objective: u64) {
+        let label = sys.label();
+        assert_eq!(sys.offer(pkt).unwrap(), ArrivalOutcome::Admitted, "{label}");
+        assert_eq!(sys.occupancy(), 1, "{label}");
+        assert_eq!(sys.transmission_phase_into(&mut Vec::new()), objective);
+        sys.end_slot();
+        assert_eq!(sys.score(), objective, "{label}");
+        assert_eq!(sys.occupancy(), 0, "{label}");
+    }
 
     #[test]
-    fn runner_and_opt_share_the_work_interface() {
+    fn runner_and_opt_share_one_interface() {
+        let wp = WorkPacket::new(PortId::new(0), Work::new(1));
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
-        let mut systems: Vec<Box<dyn WorkSystem>> = vec![
-            Box::new(WorkRunner::new(cfg, Lwd::new(), 1)),
-            Box::new(WorkPqOpt::new(4, 2)),
-        ];
-        for sys in systems.iter_mut() {
-            let outcome = sys
-                .offer(WorkPacket::new(PortId::new(0), Work::new(1)))
-                .unwrap();
-            assert_eq!(outcome, ArrivalOutcome::Admitted, "{}", sys.label());
-            let sent = sys.transmission_phase();
-            sys.end_slot();
-            assert_eq!(sent, 1, "{}", sys.label());
-            assert_eq!(sys.transmitted(), 1);
-            assert_eq!(sys.occupancy(), 0);
-        }
-    }
+        admit_and_transmit(WorkRunner::new(cfg, Lwd::new(), 1), wp, 1);
+        admit_and_transmit(WorkPqOpt::new(4, 2), wp, 1);
 
-    #[test]
-    fn runner_and_opt_share_the_value_interface() {
+        let vp = ValuePacket::new(PortId::new(1), Value::new(7));
         let cfg = ValueSwitchConfig::new(4, 2).unwrap();
-        let mut systems: Vec<Box<dyn ValueSystem>> = vec![
-            Box::new(ValueRunner::new(cfg, GreedyValue::new(), 1)),
-            Box::new(ValuePqOpt::new(4, 2)),
-        ];
-        for sys in systems.iter_mut() {
-            sys.offer(ValuePacket::new(PortId::new(1), Value::new(7)))
-                .unwrap();
-            assert_eq!(sys.transmission_phase(), 7, "{}", sys.label());
-            sys.end_slot();
-            assert_eq!(sys.transmitted_value(), 7);
-        }
+        admit_and_transmit(ValueRunner::new(cfg, GreedyValue::new(), 1), vp, 7);
+        admit_and_transmit(ValuePqOpt::new(4, 2), vp, 7);
     }
 
     #[test]
-    fn flush_via_trait_objects() {
+    fn flush_discards_through_the_trait() {
         let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-        let mut sys: Box<dyn WorkSystem> = Box::new(WorkRunner::new(cfg, Lwd::new(), 1));
-        sys.offer(WorkPacket::new(PortId::new(0), Work::new(1)))
-            .unwrap();
-        assert_eq!(sys.flush(), 1);
-        assert_eq!(sys.occupancy(), 0);
+        let mut sys = WorkRunner::new(cfg, Lwd::new(), 1);
+        DatapathSystem::offer(&mut sys, WorkPacket::new(PortId::new(0), Work::new(1))).unwrap();
+        assert_eq!(DatapathSystem::flush(&mut sys), 1);
+        assert_eq!(DatapathSystem::occupancy(&sys), 0);
     }
 
     #[test]
@@ -762,14 +508,27 @@ mod tests {
         let mut sys = WorkRunner::new(cfg, Lwd::new(), 1);
         let pkt = sys.switch().packet_for(PortId::new(0));
         assert_eq!(
-            WorkSystem::offer(&mut sys, pkt).unwrap(),
+            DatapathSystem::offer(&mut sys, pkt).unwrap(),
             ArrivalOutcome::Admitted
         );
-        let outcome = WorkSystem::offer(&mut sys, pkt).unwrap();
         assert_eq!(
-            outcome,
+            DatapathSystem::offer(&mut sys, pkt).unwrap(),
             ArrivalOutcome::Dropped(DropReason::BufferFull),
             "a drop with the buffer at capacity is a buffer-full drop"
+        );
+
+        // NEST caps each of 2 queues at B/n = 2: the third packet for port
+        // 0 is refused while the buffer still has room.
+        let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
+        let mut sys = WorkRunner::new(cfg, Nest::new(), 1);
+        let pkt = sys.switch().packet_for(PortId::new(0));
+        for _ in 0..2 {
+            DatapathSystem::offer(&mut sys, pkt).unwrap();
+        }
+        assert_eq!(
+            DatapathSystem::offer(&mut sys, pkt).unwrap(),
+            ArrivalOutcome::Dropped(DropReason::Policy),
+            "a drop with free space is a policy drop"
         );
     }
 
@@ -777,18 +536,17 @@ mod tests {
     fn transmission_phase_into_reports_completions() {
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
         let mut sys = WorkRunner::new(cfg, Lwd::new(), 1);
-        WorkSystem::offer(&mut sys, WorkPacket::new(PortId::new(0), Work::new(1))).unwrap();
+        DatapathSystem::offer(&mut sys, WorkPacket::new(PortId::new(0), Work::new(1))).unwrap();
         let mut out = Vec::new();
-        let sent = WorkSystem::transmission_phase_into(&mut sys, &mut out);
-        assert_eq!(sent, 1);
+        assert_eq!(sys.transmission_phase_into(&mut out), 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].port, PortId::new(0));
 
         // The aggregate OPT surrogate leaves `out` untouched.
         let mut opt = WorkPqOpt::new(4, 2);
-        WorkSystem::offer(&mut opt, WorkPacket::new(PortId::new(0), Work::new(1))).unwrap();
+        DatapathSystem::offer(&mut opt, WorkPacket::new(PortId::new(0), Work::new(1))).unwrap();
         out.clear();
-        assert_eq!(WorkSystem::transmission_phase_into(&mut opt, &mut out), 1);
+        assert_eq!(opt.transmission_phase_into(&mut out), 1);
         assert!(out.is_empty());
     }
 
@@ -797,22 +555,89 @@ mod tests {
         let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
         let mut one = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
         let mut batch = WorkRunner::new(cfg, Lwd::new(), 1);
-        let burst: Vec<WorkPacket> = (0..4)
-            .map(|_| WorkPacket::new(PortId::new(0), Work::new(1)))
-            .collect();
+        let burst = vec![WorkPacket::new(PortId::new(0), Work::new(1)); 4];
         let singles: Vec<ArrivalOutcome> = burst
             .iter()
-            .map(|&p| WorkSystem::offer(&mut one, p).unwrap())
+            .map(|&p| DatapathSystem::offer(&mut one, p).unwrap())
             .collect();
         let mut outcomes = Vec::new();
-        WorkSystem::offer_burst(&mut batch, &burst, &mut outcomes).unwrap();
+        batch.offer_burst(&burst, &mut outcomes).unwrap();
         assert_eq!(outcomes, singles);
         assert_eq!(one.switch().occupancy(), batch.switch().occupancy());
     }
 
     #[test]
+    fn runner_round_trip_reports_gauges_and_meta() {
+        let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
+        let mut sys = WorkRunner::new(cfg, Lwd::new(), 1);
+        assert_eq!(DatapathSystem::label(&sys), "LWD");
+        let pkt = WorkPacket::new(PortId::new(0), Work::new(1));
+        assert_eq!(WorkRunner::<Lwd>::meta(pkt), (PortId::new(0), 1, 1));
+        let mut outcomes = Vec::new();
+        sys.offer_burst(&[pkt, pkt], &mut outcomes).unwrap();
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(DatapathSystem::occupancy(&sys), 2);
+        assert_eq!(sys.buffer_limit(), 4);
+        assert_eq!(DatapathSystem::ports(&sys), 2);
+        assert_eq!(sys.max_queue_depth(), 2);
+        assert_eq!(sys.transmission_phase_into(&mut Vec::new()), 1);
+        DatapathSystem::end_slot(&mut sys);
+        assert_eq!(sys.score(), 1);
+        assert_eq!(DatapathSystem::counters(&sys).transmitted(), 1);
+        assert_eq!(DatapathSystem::flush(&mut sys), 1);
+        assert_eq!(DatapathSystem::occupancy(&sys), 0);
+    }
+
+    #[test]
+    fn meta_carries_each_model_dimension() {
+        let p = PortId::new(1);
+        let cp = CombinedPacket::new(p, Work::new(3), Value::new(9));
+        assert_eq!(CombinedPqOpt::meta(cp), (p, 3, 9));
+        assert_eq!(
+            ValuePqOpt::meta(ValuePacket::new(p, Value::new(9))),
+            (p, 1, 9)
+        );
+        assert_eq!(WorkPqOpt::meta(WorkPacket::new(p, Work::new(3))), (p, 3, 1));
+    }
+
+    #[test]
+    fn a_mutable_borrow_drives_the_system_in_place() {
+        fn drive<S: DatapathSystem>(mut sys: S, pkt: S::Packet) -> u64 {
+            sys.offer(pkt).unwrap();
+            let sent = sys.transmission_phase_into(&mut Vec::new());
+            sys.end_slot();
+            assert_eq!(sys.score(), sent);
+            sent
+        }
+        let cfg = ValueSwitchConfig::new(4, 2).unwrap();
+        let mut runner = ValueRunner::new(cfg, GreedyValue::new(), 1);
+        let pkt = ValuePacket::new(PortId::new(0), Value::new(7));
+        assert_eq!(drive(&mut runner, pkt), 7);
+        assert_eq!(runner.transmitted_value(), 7);
+    }
+
+    #[test]
+    fn opt_surrogates_default_the_gauges() {
+        fn defaulted<S: DatapathSystem>(sys: &S) {
+            assert_eq!(sys.buffer_limit(), 0);
+            assert_eq!(sys.ports(), 0);
+            assert_eq!(sys.max_queue_depth(), 0);
+            assert_eq!(sys.counters(), Counters::new());
+        }
+        defaulted(&WorkPqOpt::new(4, 2));
+        defaulted(&ValuePqOpt::new(4, 2));
+        defaulted(&CombinedPqOpt::new(4, 2));
+    }
+
+    #[test]
     fn labels_are_informative() {
-        let opt = WorkPqOpt::new(2, 3);
-        assert_eq!(WorkSystem::label(&opt), "OPT(pq,3cores)");
+        assert_eq!(
+            DatapathSystem::label(&WorkPqOpt::new(2, 3)),
+            "OPT(pq,3cores)"
+        );
+        assert_eq!(
+            DatapathSystem::label(&CombinedPqOpt::new(2, 3)),
+            "OPT(density,3cores)"
+        );
     }
 }

@@ -21,11 +21,11 @@
 //!
 //! The pieces:
 //!
-//! * [`DatapathSystem`] — the model-erased bundle of switch operations the
-//!   machine drives (burst admission, transmission, flush, occupancy,
-//!   score, telemetry gauges), with adapters [`WorkAdapter`] /
-//!   [`ValueAdapter`] / [`CombinedAdapter`] over anything implementing the
-//!   `smbm-core` system traits — owned runners and `&mut` borrows alike;
+//! * [`DatapathSystem`] — the bundle of switch operations the machine
+//!   drives (burst admission, transmission, flush, occupancy, score,
+//!   telemetry gauges), re-exported from `smbm-core`, where the runners,
+//!   the OPT surrogates and the single-FIFO baseline implement it directly
+//!   — owned and through a `&mut` borrow alike;
 //! * [`SlotMachine`] — the slot loop state: [`step`] runs one
 //!   arrival+transmission slot, [`idle_slot`] a transmission-only slot,
 //!   [`flush_check`] the flush schedule, [`drain`] arrival-free slots until
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod machine;
-mod system;
 
 pub use machine::{NoHook, SlotHook, SlotMachine, SlotStats, MAX_BURST_BATCHES, MAX_DRAIN_SLOTS};
-pub use system::{CombinedAdapter, DatapathSystem, ValueAdapter, WorkAdapter};
+pub use smbm_core::DatapathSystem;

@@ -179,7 +179,10 @@ impl NetCounts {
 #[derive(Debug)]
 #[repr(align(128))]
 pub struct StatCell {
-    // Counters (monotone).
+    // Counters (monotone). Written by the shard thread, except that
+    // producers also add their ring rejections to `arrived`,
+    // `arrived_value` and `dropped_backpressure` (`record_backpressure`);
+    // every write is a relaxed `fetch_add`, so sharing them is safe.
     arrived: AtomicU64,
     arrived_value: AtomicU64,
     admitted: AtomicU64,
@@ -274,6 +277,18 @@ impl StatCell {
         if dropped_frames != 0 {
             self.dropped_net_decode.fetch_add(dropped_frames, r);
         }
+    }
+
+    /// Records `packets` packets of total worth `value` rejected by the
+    /// shard's full ingress ring before they reached the shard: they count
+    /// as arrivals and as [`crate::DropReason::Backpressure`] drops, as in
+    /// the runtime's final counters. Safe to call from any producer thread,
+    /// like [`StatCell::record_net`].
+    pub fn record_backpressure(&self, packets: u64, value: u64) {
+        let r = Ordering::Relaxed;
+        self.arrived.fetch_add(packets, r);
+        self.arrived_value.fetch_add(value, r);
+        self.dropped_backpressure.fetch_add(packets, r);
     }
 
     /// Reads just the net ingress tallies with relaxed loads; cheap enough
@@ -1149,6 +1164,30 @@ mod tests {
         assert_eq!(cell.net_counts(), s.net);
         assert!(s.to_json().contains("\"net\":{\"datagrams\":4000"));
         assert!(s.to_json().contains("\"net_decode\":8000"));
+    }
+
+    #[test]
+    fn record_backpressure_is_multi_writer_and_counts_arrivals() {
+        let cell = Arc::new(StatCell::new());
+        let writers: Vec<_> = (0..4)
+            .map(|_| {
+                let c = Arc::clone(&cell);
+                std::thread::spawn(move || {
+                    for _ in 0..1_000 {
+                        c.record_backpressure(3, 7);
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let s = cell.snapshot();
+        assert_eq!(s.arrived, 12_000);
+        assert_eq!(s.arrived_value, 28_000);
+        assert_eq!(s.dropped_backpressure, 12_000);
+        assert_eq!(s.dropped_total(), 12_000);
+        assert_eq!(s.admitted, 0);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! * [`Clock`] — pacing for the shard loop: [`VirtualClock`] runs cycles
 //!   back-to-back (deterministic tests, replay, throughput measurement),
 //!   [`WallClock`] paces at a fixed cycles-per-second;
-//! * [`Service`] — the model-erased bundle of switch operations a shard
-//!   drives: a re-export of `smbm-datapath`'s `DatapathSystem`, with
-//!   [`WorkService`], [`ValueService`] and [`CombinedService`] aliasing the
-//!   datapath adapters over the corresponding runners;
+//! * [`Service`] — the bundle of switch operations a shard drives: a
+//!   re-export of `smbm-core`'s `DatapathSystem`, which every runner
+//!   implements directly, with [`WorkService`], [`ValueService`] and
+//!   [`CombinedService`] aliasing the owned wrapper [`Served`] over the
+//!   corresponding runners;
 //! * [`run_shard`] — the ring-fed driver: ingest, clock pacing and fault
 //!   polling wrapped around `smbm-datapath`'s `SlotMachine`, which emits
 //!   the flush/arrival/transmission/drain phases — literally the same code
@@ -61,5 +62,5 @@ pub use runtime::{
     FlightConfig, IngressHandle, ProducerReport, RuntimeBuilder, RuntimeConfig, RuntimeReport,
     SendOutcome, ShardId, SupervisionConfig,
 };
-pub use service::{CombinedService, Service, ValueService, WorkService};
+pub use service::{CombinedService, Served, Service, ValueService, WorkService};
 pub use shard::{run_shard, Batch, IngestMode, ShardConfig, ShardReport};

@@ -17,7 +17,7 @@ use crate::faults::FaultPlan;
 use crate::runtime::{
     FlightConfig, RuntimeBuilder, RuntimeConfig, RuntimeReport, SupervisionConfig,
 };
-use crate::service::{CombinedService, Service, ValueService, WorkService};
+use crate::service::Service;
 use crate::shard::{IngestMode, ShardConfig};
 
 /// Which packet model the datapath serves.
@@ -447,7 +447,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError
                 let speedup = config.speedup;
                 factories.push(Box::new(move || {
                     let policy = work_policy_by_name(&name).expect("validated above");
-                    WorkService::new(smbm_core::WorkRunner::new(cfg.clone(), policy, speedup))
+                    smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
                 }));
             }
             Ok(drive(config, canonical, factories, feeds))
@@ -476,7 +476,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError
                 let speedup = config.speedup;
                 factories.push(Box::new(move || {
                     let policy = value_policy_by_name(&name).expect("validated above");
-                    ValueService::new(smbm_core::ValueRunner::new(switch_cfg, policy, speedup))
+                    smbm_core::ValueRunner::new(switch_cfg, policy, speedup)
                 }));
             }
             Ok(drive(config, canonical, factories, feeds))
@@ -506,11 +506,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError
                 let speedup = config.speedup;
                 factories.push(Box::new(move || {
                     let policy = combined_policy_by_name(&name).expect("validated above");
-                    CombinedService::new(smbm_core::CombinedRunner::new(
-                        cfg.clone(),
-                        policy,
-                        speedup,
-                    ))
+                    smbm_core::CombinedRunner::new(cfg.clone(), policy, speedup)
                 }));
             }
             Ok(drive(config, canonical, factories, feeds))

@@ -262,12 +262,7 @@ impl<P: Copy> IngressHandle<P> {
             }
             Err(PushError::Full(batch)) => {
                 let value: u64 = batch.packets.iter().map(|&p| (self.meta)(p).2).sum();
-                self.stats
-                    .backpressure_packets
-                    .fetch_add(n, Ordering::Relaxed);
-                self.stats
-                    .backpressure_value
-                    .fetch_add(value, Ordering::Relaxed);
+                self.record_backpressure(n, value);
                 SendOutcome::Rejected(DropReason::Backpressure)
             }
             Err(PushError::Closed(batch)) => {
@@ -342,12 +337,7 @@ impl<P: Copy> IngressHandle<P> {
                 self.stats
                     .sent_packets
                     .fetch_add(n - rejected, Ordering::Relaxed);
-                self.stats
-                    .backpressure_packets
-                    .fetch_add(rejected, Ordering::Relaxed);
-                self.stats
-                    .backpressure_value
-                    .fetch_add(value, Ordering::Relaxed);
+                self.record_backpressure(rejected, value);
                 rest
             }
             Err(PushError::Closed(rest)) => {
@@ -367,6 +357,21 @@ impl<P: Copy> IngressHandle<P> {
                 buf
             })
             .collect()
+    }
+
+    /// Tallies packets a full ring rejected: in this producer's report and,
+    /// when telemetry is attached, in the target shard's [`StatCell`], so
+    /// live samples see the backpressure the final report folds in.
+    fn record_backpressure(&self, packets: u64, value: u64) {
+        self.stats
+            .backpressure_packets
+            .fetch_add(packets, Ordering::Relaxed);
+        self.stats
+            .backpressure_value
+            .fetch_add(value, Ordering::Relaxed);
+        if let Some(cell) = &self.cell {
+            cell.record_backpressure(packets, value);
+        }
     }
 
     /// Packet count and total value of a slice of batches.
@@ -1051,11 +1056,10 @@ impl RuntimeReport {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use crate::service::WorkService;
     use smbm_core::{Lwd, WorkRunner};
     use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
-    fn builder(shards: usize) -> (RuntimeBuilder<WorkService<Lwd>>, Vec<ShardId>) {
+    fn builder(shards: usize) -> (RuntimeBuilder<WorkRunner<Lwd>>, Vec<ShardId>) {
         let mut b = RuntimeBuilder::new(RuntimeConfig {
             ring_capacity: 4,
             shard: ShardConfig::lockstep(),
@@ -1065,7 +1069,7 @@ mod tests {
             .map(|_| {
                 b.add_shard(|| {
                     let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-                    WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+                    WorkRunner::new(cfg, Lwd::new(), 1)
                 })
             })
             .collect();
@@ -1249,7 +1253,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             // Keep publishing until the supervisor gives up and the ring
@@ -1293,7 +1297,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             h.send(vec![wp(0, 1)]);
@@ -1315,7 +1319,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1335,6 +1339,34 @@ mod tests {
     }
 
     #[test]
+    fn panic_fault_due_in_the_final_drain_restarts_the_shard() {
+        // One burst of five 1-cycle packets: slot 0 is the only arrival
+        // slot, so slot 3 is reached only while the final drain runs.
+        let mut b = RuntimeBuilder::new(RuntimeConfig {
+            ring_capacity: 4,
+            shard: ShardConfig::lockstep(),
+            faults: FaultPlan::parse("panic@3").unwrap(),
+            supervision: SupervisionConfig::immediate(3),
+            ..RuntimeConfig::default()
+        });
+        let id = b.add_shard(|| {
+            let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
+            WorkRunner::new(cfg, Lwd::new(), 1)
+        });
+        b.add_producer(id, |h| {
+            assert!(h.send(vec![wp(0, 1); 5]));
+        });
+        let report = b.run(|_| VirtualClock::new());
+        assert_eq!(report.shard_panics, 1);
+        assert_eq!(report.restarts(), 1);
+        let c = report.counters();
+        assert_eq!(c.arrived(), 5);
+        assert_eq!(c.transmitted(), 3, "slots 0-2 completed before the panic");
+        assert!(c.check_conservation(0).is_ok());
+        assert!(c.check_value_conservation(0).is_ok());
+    }
+
+    #[test]
     fn exhausted_budget_gives_up_and_accounts_the_backlog() {
         let mut b = RuntimeBuilder::new(RuntimeConfig {
             ring_capacity: 4,
@@ -1345,7 +1377,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1388,7 +1420,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1423,7 +1455,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1460,7 +1492,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             h.send(vec![wp(0, 1)]);
@@ -1486,7 +1518,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             h.send(vec![wp(0, 1)]);
@@ -1506,7 +1538,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         // Stuff the ring faster than a 1-deep ring can possibly accept:
         // with only one slot, at least one try_send must bounce.

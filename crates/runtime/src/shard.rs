@@ -258,12 +258,56 @@ impl ShardProgress {
     }
 }
 
-/// The machine calls this after every completed slot (arrival, idle, and
-/// drain slots alike), keeping the crash-safe record exact to the last slot
-/// boundary.
-impl<S: Service> SlotHook<S> for ShardProgress {
+/// The shard's slot-boundary hook. The machine calls it after every
+/// completed slot (arrival, idle, and drain slots alike): it keeps the
+/// crash-safe record exact to the last slot boundary, then fires the faults
+/// that came due with the slot, so a fault armed at a slot that only a
+/// drain reaches still fires.
+struct Boundary<'a, C> {
+    progress: &'a mut ShardProgress,
+    faults: &'a mut ShardFaults,
+    clock: &'a mut C,
+}
+
+impl<'a, C> Boundary<'a, C> {
+    fn new(progress: &'a mut ShardProgress, faults: &'a mut ShardFaults, clock: &'a mut C) -> Self {
+        Boundary {
+            progress,
+            faults,
+            clock,
+        }
+    }
+}
+
+impl<S: Service, C: Clock> SlotHook<S> for Boundary<'_, C> {
     fn slot_done(&mut self, sys: &S, stats: &SlotStats) {
-        self.record(sys, stats);
+        self.progress.record(sys, stats);
+        fire_due(self.faults, self.clock, self.progress);
+    }
+}
+
+/// Fires every fault due at the current slot count (see DESIGN §7 for what
+/// each kind does when it comes due inside a drain).
+fn fire_due<C: Clock>(faults: &mut ShardFaults, clock: &mut C, progress: &mut ShardProgress) {
+    for kind in faults.due(progress.stats.slots) {
+        match kind {
+            FaultKind::Panic => {
+                panic!(
+                    "injected fault: shard panic at slot {}",
+                    progress.stats.slots
+                )
+            }
+            FaultKind::Stall { cycles } => {
+                // The whole loop stops: burn the cycles without ingesting or
+                // transmitting anything.
+                for _ in 0..cycles {
+                    clock.tick();
+                    progress.cycles += 1;
+                }
+            }
+            FaultKind::SaturateIngress { cycles } => faults.pause_ingest(cycles),
+            FaultKind::ClockSkew { nanos } => clock.skew(nanos),
+        }
     }
 }
 
@@ -299,8 +343,9 @@ pub fn run_shard<S: Service, C: Clock, O: Observer>(
 /// The ring-fed driver around the shared [`SlotMachine`], writing all
 /// accounting through `progress` so the supervisor can recover an exact
 /// record when an incarnation panics. `faults` is polled at the top of
-/// every cycle (before ingest, so an injected panic leaves a zero mid-slot
-/// gap and deterministic counters).
+/// every cycle and at every slot boundary, drain slots included (both
+/// before the next ingest, so an injected panic leaves a zero mid-slot gap
+/// and deterministic counters).
 ///
 /// `rings` is borrowed, not owned: the supervisor keeps the consumers, so
 /// a panicking incarnation's unwind never drops (and thus never closes)
@@ -330,26 +375,7 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
         clock.tick();
         progress.cycles += 1;
 
-        for kind in faults.due(progress.stats.slots) {
-            match kind {
-                FaultKind::Panic => {
-                    panic!(
-                        "injected fault: shard panic at slot {}",
-                        progress.stats.slots
-                    )
-                }
-                FaultKind::Stall { cycles } => {
-                    // The whole loop stops: burn the cycles without
-                    // ingesting or transmitting anything.
-                    for _ in 0..cycles {
-                        clock.tick();
-                        progress.cycles += 1;
-                    }
-                }
-                FaultKind::SaturateIngress { cycles } => faults.pause_ingest(cycles),
-                FaultKind::ClockSkew { nanos } => clock.skew(nanos),
-            }
-        }
+        fire_due(faults, &mut clock, progress);
 
         // Ingress phase: pull batches. Iterate by index so closed rings can
         // be pruned in place (order among survivors is preserved, keeping
@@ -427,20 +453,24 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
                 continue;
             }
             // Freerun cycle with backlog: transmit without arrivals.
-            machine.idle_slot(obs, progress);
+            machine.idle_slot(obs, &mut Boundary::new(progress, faults, &mut clock));
             continue;
         }
 
         // Flush schedule, checked before this burst's arrivals — exactly
         // where the engine checks it, with the burst counter standing in
         // for the trace-slot index.
-        if !machine.flush_check(obs, progress) {
+        if !machine.flush_check(obs, &mut Boundary::new(progress, faults, &mut clock)) {
             progress.drain_stalled = true;
             break 'datapath;
         }
 
         let slot = machine.stats().slots;
-        if let Err(e) = machine.step(&burst, obs, progress) {
+        if let Err(e) = machine.step(
+            &burst,
+            obs,
+            &mut Boundary::new(progress, faults, &mut clock),
+        ) {
             // The slot is left incomplete: emit the end-of-slot events the
             // machine skipped, record the failure, and join.
             progress.error = Some(e.to_string());
@@ -455,7 +485,7 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
     if config.drain_at_end && progress.error.is_none() && !progress.drain_stalled {
         // The final drain contributes to the occupancy mean but not the
         // maximum (occupancy only falls while draining).
-        if !machine.drain(obs, progress, true) {
+        if !machine.drain(obs, &mut Boundary::new(progress, faults, &mut clock), true) {
             progress.drain_stalled = true;
         }
     }
@@ -468,15 +498,15 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+    use crate::faults::FaultPlan;
     use crate::ring::ring;
-    use crate::service::WorkService;
     use smbm_core::{Lwd, WorkRunner};
     use smbm_obs::NullObserver;
     use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
-    fn service(ports: u32, buffer: usize) -> WorkService<Lwd> {
+    fn service(ports: u32, buffer: usize) -> WorkRunner<Lwd> {
         let cfg = WorkSwitchConfig::contiguous(ports, buffer).unwrap();
-        WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+        WorkRunner::new(cfg, Lwd::new(), 1)
     }
 
     fn wp(port: usize, w: u32) -> WorkPacket {
@@ -615,7 +645,6 @@ mod tests {
 
     #[test]
     fn stall_fault_burns_cycles_without_losing_packets() {
-        use crate::faults::FaultPlan;
         let (tx, rx) = ring(8);
         tx.push(Batch::new(vec![wp(0, 1)])).unwrap();
         drop(tx);
@@ -641,7 +670,6 @@ mod tests {
 
     #[test]
     fn saturate_ingress_defers_popping_without_losing_packets() {
-        use crate::faults::FaultPlan;
         let (tx, rx) = ring(8);
         tx.push(Batch::new(vec![wp(0, 1), wp(0, 1)])).unwrap();
         drop(tx);
@@ -660,6 +688,52 @@ mod tests {
         assert_eq!(progress.ingested_packets, 2);
         assert_eq!(progress.counters.arrived(), 2);
         assert_eq!(progress.counters.transmitted(), 2);
+    }
+
+    /// Runs one lockstep burst of five 1-cycle packets on one port: slot 0
+    /// is the only arrival slot, slots 1-4 are reachable only through the
+    /// final drain.
+    fn run_into_the_final_drain(
+        faults: &mut ShardFaults,
+        progress: &mut ShardProgress,
+    ) -> std::thread::Result<()> {
+        let (tx, rx) = ring(8);
+        tx.push(Batch::new(vec![wp(0, 1); 5])).unwrap();
+        drop(tx);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_shard_core(
+                service(1, 8),
+                &mut vec![rx],
+                VirtualClock::new(),
+                &ShardConfig::lockstep(),
+                faults,
+                progress,
+                &mut NullObserver,
+            )
+        }))
+    }
+
+    #[test]
+    fn panic_fault_due_inside_the_final_drain_fires() {
+        let mut faults = FaultPlan::parse("panic@3").unwrap().for_shard(0);
+        let mut progress = ShardProgress::new();
+        let outcome = run_into_the_final_drain(&mut faults, &mut progress);
+        assert!(outcome.is_err(), "the panic armed at drain slot 3 fired");
+        assert_eq!(faults.unfired(), 0);
+        assert_eq!(progress.stats.slots, 3, "record exact to the boundary");
+        assert_eq!(progress.counters.transmitted(), 3);
+        assert_eq!(progress.occupancy, 2);
+    }
+
+    #[test]
+    fn stall_fault_due_inside_the_final_drain_burns_cycles() {
+        let mut faults = FaultPlan::parse("stall@3*50").unwrap().for_shard(0);
+        let mut progress = ShardProgress::new();
+        run_into_the_final_drain(&mut faults, &mut progress).unwrap();
+        assert_eq!(faults.unfired(), 0);
+        assert!(progress.cycles >= 50, "stall burned {}", progress.cycles);
+        assert_eq!(progress.stats.slots, 5);
+        assert_eq!(progress.counters.transmitted(), 5);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The offline trace driver: feeds any [`WorkSystem`]/[`ValueSystem`]
-//! through an arrival trace, one burst per slot, with the paper's periodic
-//! flushouts.
+//! The offline trace driver: feeds any [`DatapathSystem`] through an
+//! arrival trace, one burst per slot, with the paper's periodic flushouts.
 //!
 //! The slot semantics themselves — flush, arrival, transmission, drain —
 //! live in `smbm-datapath`'s [`SlotMachine`]; this module only decides when
 //! to feed it (once per trace slot) and folds the machine's [`SlotStats`]
-//! into a [`RunSummary`]. The model-specific `run_*` entry points wrap the
-//! caller's system in the matching datapath adapter. Each entry point has
+//! into a [`RunSummary`]. The model-specific `run_*` entry points hand the
+//! machine a `&mut` borrow of the caller's system, which implements
+//! [`DatapathSystem`] for any system that does. Each entry point has
 //! an `_observed` variant taking an [`Observer`]; the plain variants pass
 //! [`NullObserver`], which monomorphizes every hook to a no-op, so
 //! uninstrumented runs cost the same as before the observer existed — and
@@ -15,10 +15,7 @@
 //!
 //! [`SlotStats`]: smbm_datapath::SlotStats
 
-use smbm_core::{CombinedSystem, ValueSystem, WorkSystem};
-use smbm_datapath::{
-    CombinedAdapter, DatapathSystem, NoHook, SlotMachine, ValueAdapter, WorkAdapter,
-};
+use smbm_datapath::{DatapathSystem, NoHook, SlotMachine};
 use smbm_obs::{NullObserver, Observer};
 use smbm_switch::{AdmitError, CombinedPacket, ValuePacket, WorkPacket};
 use smbm_traffic::Trace;
@@ -108,7 +105,7 @@ fn drive<S: DatapathSystem, O: Observer>(
 /// # Errors
 ///
 /// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_work<S: WorkSystem + ?Sized>(
+pub fn run_work<S: DatapathSystem<Packet = WorkPacket>>(
     sys: &mut S,
     trace: &Trace<WorkPacket>,
     engine: &EngineConfig,
@@ -122,13 +119,13 @@ pub fn run_work<S: WorkSystem + ?Sized>(
 /// # Errors
 ///
 /// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_work_observed<S: WorkSystem + ?Sized, O: Observer>(
+pub fn run_work_observed<S: DatapathSystem<Packet = WorkPacket>, O: Observer>(
     sys: &mut S,
     trace: &Trace<WorkPacket>,
     engine: &EngineConfig,
     obs: &mut O,
 ) -> Result<RunSummary, AdmitError> {
-    drive(WorkAdapter::new(sys), trace, engine, obs)
+    drive(sys, trace, engine, obs)
 }
 
 /// Runs a value-model system over `trace`.
@@ -136,7 +133,7 @@ pub fn run_work_observed<S: WorkSystem + ?Sized, O: Observer>(
 /// # Errors
 ///
 /// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_value<S: ValueSystem + ?Sized>(
+pub fn run_value<S: DatapathSystem<Packet = ValuePacket>>(
     sys: &mut S,
     trace: &Trace<ValuePacket>,
     engine: &EngineConfig,
@@ -150,13 +147,13 @@ pub fn run_value<S: ValueSystem + ?Sized>(
 /// # Errors
 ///
 /// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_value_observed<S: ValueSystem + ?Sized, O: Observer>(
+pub fn run_value_observed<S: DatapathSystem<Packet = ValuePacket>, O: Observer>(
     sys: &mut S,
     trace: &Trace<ValuePacket>,
     engine: &EngineConfig,
     obs: &mut O,
 ) -> Result<RunSummary, AdmitError> {
-    drive(ValueAdapter::new(sys), trace, engine, obs)
+    drive(sys, trace, engine, obs)
 }
 
 /// Runs a combined-model system over `trace` (extension).
@@ -164,7 +161,7 @@ pub fn run_value_observed<S: ValueSystem + ?Sized, O: Observer>(
 /// # Errors
 ///
 /// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_combined<S: CombinedSystem + ?Sized>(
+pub fn run_combined<S: DatapathSystem<Packet = CombinedPacket>>(
     sys: &mut S,
     trace: &Trace<CombinedPacket>,
     engine: &EngineConfig,
@@ -178,13 +175,13 @@ pub fn run_combined<S: CombinedSystem + ?Sized>(
 /// # Errors
 ///
 /// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_combined_observed<S: CombinedSystem + ?Sized, O: Observer>(
+pub fn run_combined_observed<S: DatapathSystem<Packet = CombinedPacket>, O: Observer>(
     sys: &mut S,
     trace: &Trace<CombinedPacket>,
     engine: &EngineConfig,
     obs: &mut O,
 ) -> Result<RunSummary, AdmitError> {
-    drive(CombinedAdapter::new(sys), trace, engine, obs)
+    drive(sys, trace, engine, obs)
 }
 
 #[cfg(test)]

@@ -119,6 +119,36 @@ fn four_shard_snapshots_reconcile_with_the_final_report() {
 }
 
 #[test]
+fn lossy_ring_backpressure_reaches_the_final_sample() {
+    // Depth-2 rings under lossy sends: full rings reject batches before
+    // they reach a shard, and the live stat cells must still carry those
+    // rejections exactly as the final report folds them in.
+    let mut cfg = loadgen_config(2);
+    cfg.ring_capacity = 2;
+    cfg.lossy = true;
+    cfg.telemetry = Some(TelemetryConfig {
+        interval: Duration::from_millis(5),
+        ..TelemetryConfig::default()
+    });
+    let report = run_loadgen(&cfg).unwrap();
+    let c = report.counters();
+    assert!(c.dropped_backpressure() > 0, "the rings pushed back");
+    assert!(c.check_conservation(0).is_ok());
+    assert!(c.check_value_conservation(0).is_ok());
+
+    let telemetry = report.runtime.telemetry.as_ref().expect("telemetry ran");
+    let last = telemetry.last().expect("final sample");
+    assert_eq!(last.total.arrived, c.arrived());
+    assert_eq!(last.total.arrived_value, c.arrived_value());
+    assert_eq!(last.total.dropped_backpressure, c.dropped_backpressure());
+    assert_eq!(last.total.admitted, c.admitted());
+    assert_eq!(
+        last.total.dropped_buffer_full + last.total.dropped_policy,
+        c.dropped_at_switch()
+    );
+}
+
+#[test]
 fn chaos_panic_leaves_a_flight_dump_naming_the_dead_shard() {
     let flight = temp_path("flight.jsonl");
     let mut cfg = loadgen_config(2);
