@@ -108,7 +108,7 @@ fn main() -> ExitCode {
         None => Panel::all().collect(),
     };
     for p in panels {
-        let (series, _spread) =
+        let (series, spread) =
             match smbm_bench::run_panel_averaged_with_jobs(p, scale, seed, repeats, jobs) {
                 Ok(r) => r,
                 Err(e) => {
@@ -117,8 +117,14 @@ fn main() -> ExitCode {
                 }
             };
         let csv = smbm_sim::series_to_csv(p.x_label(), &series);
+        // Averaged runs also report their worst relative half-spread.
+        let spread = if repeats > 1 {
+            format!(", max half-spread {spread:.4}")
+        } else {
+            String::new()
+        };
         println!(
-            "# Fig.5({}) {} [scale {:?}, seed {}, repeats {}]",
+            "# Fig.5({}) {} [scale {:?}, seed {}, repeats {}{spread}]",
             p.number(),
             p.caption(),
             scale,
