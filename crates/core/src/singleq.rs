@@ -193,10 +193,6 @@ impl DatapathSystem for SingleFifoQueue {
         }
     }
 
-    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
-        (pkt.port(), pkt.work().cycles(), 1)
-    }
-
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         Ok(self.offer_work(pkt.work()))
     }

@@ -14,7 +14,7 @@
 //! [`transmission_phase_into`]: DatapathSystem::transmission_phase_into
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, CombinedPacket, Counters, DropReason, PortId, Transmitted,
+    AdmitError, ArrivalOutcome, CombinedPacket, Counters, DropReason, Packet, PortId, Transmitted,
     ValuePacket, WorkPacket,
 };
 
@@ -39,14 +39,16 @@ pub trait DatapathSystem {
     /// The packet type flowing through the datapath. Plain data: every
     /// model's packet is `Copy` and crosses threads in the runtime's
     /// ingress rings.
-    type Packet: Copy + Send + 'static;
+    type Packet: Packet + Send + 'static;
 
     /// Human-readable label (the policy name) for reports.
     fn label(&self) -> String;
 
     /// Destination port, work cycles, and value of a packet (1 wherever the
     /// model lacks the dimension), feeding arrival events.
-    fn meta(pkt: Self::Packet) -> (PortId, u32, u64);
+    fn meta(pkt: Self::Packet) -> (PortId, u32, u64) {
+        (pkt.port(), pkt.work().cycles(), pkt.value().get())
+    }
 
     /// Offers one packet to admission control, reporting its fate. The
     /// machine's arrival phase is built on this (per-packet, so observer
@@ -205,10 +207,6 @@ impl<P: WorkPolicy> DatapathSystem for WorkRunner<P> {
         self.policy().name().to_owned()
     }
 
-    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
-        (pkt.port(), pkt.work().cycles(), 1)
-    }
-
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         let was_full = self.switch().is_full();
         Ok(classify(self.arrival(pkt)?, was_full))
@@ -258,10 +256,6 @@ impl DatapathSystem for WorkPqOpt {
         format!("OPT(pq,{}cores)", self.cores())
     }
 
-    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
-        (pkt.port(), pkt.work().cycles(), 1)
-    }
-
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         Ok(WorkPqOpt::offer(self, pkt))
     }
@@ -290,10 +284,6 @@ impl<P: ValuePolicy> DatapathSystem for ValueRunner<P> {
 
     fn label(&self) -> String {
         self.policy().name().to_owned()
-    }
-
-    fn meta(pkt: ValuePacket) -> (PortId, u32, u64) {
-        (pkt.port(), 1, pkt.value().get())
     }
 
     fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError> {
@@ -345,10 +335,6 @@ impl DatapathSystem for ValuePqOpt {
         format!("OPT(pq,{}cores)", self.cores())
     }
 
-    fn meta(pkt: ValuePacket) -> (PortId, u32, u64) {
-        (pkt.port(), 1, pkt.value().get())
-    }
-
     fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError> {
         Ok(ValuePqOpt::offer(self, pkt))
     }
@@ -377,10 +363,6 @@ impl<P: CombinedPolicy> DatapathSystem for CombinedRunner<P> {
 
     fn label(&self) -> String {
         self.policy().name().to_owned()
-    }
-
-    fn meta(pkt: CombinedPacket) -> (PortId, u32, u64) {
-        (pkt.port(), pkt.work().cycles(), pkt.value().get())
     }
 
     fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError> {
@@ -430,10 +412,6 @@ impl DatapathSystem for CombinedPqOpt {
 
     fn label(&self) -> String {
         format!("OPT(density,{}cores)", self.cores())
-    }
-
-    fn meta(pkt: CombinedPacket) -> (PortId, u32, u64) {
-        (pkt.port(), pkt.work().cycles(), pkt.value().get())
     }
 
     fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError> {

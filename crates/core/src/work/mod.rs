@@ -165,7 +165,9 @@ impl<P: WorkPolicy> WorkRunner<P> {
         match decision {
             Decision::Accept => self.switch.admit(pkt)?,
             Decision::Drop => self.switch.reject(pkt)?,
-            Decision::PushOut(victim) => self.switch.push_out_and_admit(victim, pkt)?,
+            Decision::PushOut(victim) => {
+                self.switch.push_out_and_admit(victim, pkt)?;
+            }
         }
         Ok(decision)
     }

@@ -36,7 +36,7 @@
 
 use std::fmt;
 
-use smbm_switch::{PortId, Value, ValuePacket, Work, WorkPacket};
+use smbm_switch::{Packet, PortId, Value, ValuePacket, Work, WorkPacket};
 
 /// First two header bytes of every smbm datagram.
 pub const MAGIC: u16 = 0xB0FF;
@@ -65,7 +65,7 @@ pub const KIND_SYNC_ACK: u8 = 5;
 /// [`decode`] — that split is what makes the codec fuzz-safe while still
 /// keeping garbage out of the switch, whose admission path treats an
 /// unknown port or mismatched work as a programming error.
-pub trait WirePacket: Copy {
+pub trait WirePacket: Packet {
     /// Kind tag of data datagrams carrying this packet type.
     const KIND: u8;
     /// Encoded frame size in bytes.
@@ -74,8 +74,6 @@ pub trait WirePacket: Copy {
     fn encode_frame(&self, out: &mut Vec<u8>);
     /// Decodes one frame; `bytes` is exactly `FRAME_LEN` long.
     fn decode_frame(bytes: &[u8]) -> Self;
-    /// Destination port index, for shard fanout routing.
-    fn port_index(&self) -> usize;
 }
 
 impl WirePacket for WorkPacket {
@@ -92,10 +90,6 @@ impl WirePacket for WorkPacket {
         let work = u32_at(bytes, 4);
         WorkPacket::new(PortId::new(port), Work::new(work))
     }
-
-    fn port_index(&self) -> usize {
-        self.port().index()
-    }
 }
 
 impl WirePacket for ValuePacket {
@@ -111,10 +105,6 @@ impl WirePacket for ValuePacket {
         let port = u32_at(bytes, 0) as usize;
         let value = u64_at(bytes, 4);
         ValuePacket::new(PortId::new(port), Value::new(value))
-    }
-
-    fn port_index(&self) -> usize {
-        self.port().index()
     }
 }
 

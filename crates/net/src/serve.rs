@@ -11,7 +11,9 @@ use smbm_runtime::{
     FaultPlan, FlightConfig, IngestMode, Model, RuntimeBuilder, RuntimeConfig, RuntimeReport,
     ShardConfig, SupervisionConfig, VirtualClock,
 };
-use smbm_switch::{Counters, PortId, ValuePacket, ValueSwitchConfig, WorkPacket, WorkSwitchConfig};
+use smbm_switch::{
+    Counters, SwitchConfig, ValuePacket, ValueSwitchConfig, WorkPacket, WorkSwitchConfig,
+};
 
 use crate::server::{NetConfig, NetIngress};
 
@@ -303,13 +305,9 @@ pub fn run_bound_server(
                 })
                 .collect();
             // Admission treats an unknown port or mismatched work as a
-            // programming error, so the wire check must be exactly as
-            // strict as the switch.
-            let works: Vec<u32> = (0..config.ports)
-                .map(|i| switch_cfg.work(PortId::new(i)).cycles())
-                .collect();
+            // programming error, so the wire check is the switch's own rule.
             ingress.attach(&mut builder, &ids, move |p: &WorkPacket| {
-                works.get(p.port().index()).copied() == Some(p.work().cycles())
+                switch_cfg.validate(*p).is_ok()
             });
             let runtime = builder.run(|_| VirtualClock::new());
             Ok(ServeReport {
@@ -340,9 +338,8 @@ pub fn run_bound_server(
                     })
                 })
                 .collect();
-            let ports = config.ports;
             ingress.attach(&mut builder, &ids, move |p: &ValuePacket| {
-                p.port().index() < ports
+                switch_cfg.validate(*p).is_ok()
             });
             let runtime = builder.run(|_| VirtualClock::new());
             Ok(ServeReport {

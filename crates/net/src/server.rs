@@ -476,7 +476,7 @@ fn serve_socket<P: WirePacket>(
                     acc.truncations += u64::from(truncated);
                     drops += bad_frames + missing;
                     for p in packets {
-                        let shard = config.fanout.route(p.port_index(), shards);
+                        let shard = config.fanout.route(p.port().index(), shards);
                         pending[shard].push(p);
                         if pending[shard].len() >= config.batch {
                             publisher.stage(shard, &mut pending[shard]);

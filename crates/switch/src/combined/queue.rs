@@ -14,7 +14,7 @@
 //! cached inline as [`InService`] for the policy-facing read API.
 
 use crate::slab::{BufferCore, SlotList};
-use crate::{Slot, Value, Work};
+use crate::{sealed, CombinedPacket, Discipline, Slot, Value, Work, WorkSwitchConfig};
 
 /// A packet in service: its value, remaining cycles, and arrival slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,6 +225,65 @@ impl CombinedQueue {
         };
         let min_ok = self.backlog_min == core.back(&self.backlog).map(|(v, _)| v);
         sorted && sum == self.value_sum && service_ok && min_ok
+    }
+}
+
+impl sealed::Sealed for CombinedQueue {}
+
+/// Run-to-completion over a value-sorted backlog; push-out evicts the
+/// backlog minimum (the in-service packet only when the backlog is empty).
+/// An arrival evicts itself when it would join its own backlog at or below
+/// the backlog's minimum, including an empty backlog, where it would be the
+/// only backlog entry.
+impl Discipline for CombinedQueue {
+    type Config = WorkSwitchConfig;
+    type Packet = CombinedPacket;
+
+    fn with_work(work: Work) -> Self {
+        CombinedQueue::new(work)
+    }
+
+    fn len(&self) -> usize {
+        CombinedQueue::len(self)
+    }
+
+    fn min_value(&self) -> Option<Value> {
+        CombinedQueue::min_value(self)
+    }
+
+    fn total_value(&self) -> u64 {
+        self.value_sum
+    }
+
+    fn insert(&mut self, core: &mut BufferCore, value: Value, slot: Slot) {
+        CombinedQueue::insert(self, core, value, slot);
+    }
+
+    fn evicts_own_arrival(&self, value: Value) -> bool {
+        self.backlog_min.is_none_or(|min| value <= min)
+    }
+
+    fn evict(&mut self, core: &mut BufferCore) -> Option<Value> {
+        self.evict_min(core)
+    }
+
+    /// The queue was non-empty before the backlog eviction, so under
+    /// insert-then-evict the arrival always landed in the backlog — never in
+    /// service — even if the eviction just emptied the backlog.
+    fn reinsert(&mut self, core: &mut BufferCore, value: Value, slot: Slot) {
+        self.insert_backlog(core, value, slot);
+    }
+
+    fn serve(&mut self, core: &mut BufferCore, cycles: u32, done: &mut Vec<(Value, Slot)>) -> u32 {
+        self.process(core, cycles, done)
+    }
+
+    fn clear(&mut self, core: &mut BufferCore) -> u64 {
+        CombinedQueue::clear(self, core)
+    }
+
+    fn invariants_hold(&self, core: &BufferCore) -> bool {
+        CombinedQueue::invariants_hold(self, core)
     }
 }
 

@@ -1,6 +1,50 @@
-//! Validated switch configurations for both models.
+//! Validated switch configurations for the three models.
 
-use crate::{ConfigError, PortId, Work};
+use std::fmt;
+
+use crate::{sealed, AdmitError, ConfigError, Packet, PortId, Work};
+
+/// What a [`crate::Switch`] is built from: the buffer size, the port count
+/// and each port's per-packet work. Sealed; implemented by
+/// [`WorkSwitchConfig`] and [`ValueSwitchConfig`] (whose ports all need one
+/// cycle per packet).
+pub trait SwitchConfig: Clone + fmt::Debug + sealed::Sealed {
+    /// Shared buffer capacity `B` in packets.
+    fn buffer(&self) -> usize;
+    /// Number of output ports `n`.
+    fn ports(&self) -> usize;
+    /// Processing each packet destined to `port` requires.
+    fn work(&self, port: PortId) -> Work;
+
+    /// Fails with [`AdmitError::UnknownPort`] unless `port` exists.
+    fn check_port(&self, port: PortId) -> Result<(), AdmitError> {
+        if port.index() < self.ports() {
+            Ok(())
+        } else {
+            Err(AdmitError::UnknownPort {
+                port,
+                ports: self.ports(),
+            })
+        }
+    }
+
+    /// The model's one admission rule: the destination port exists and the
+    /// packet needs exactly the port's work (one cycle in the value model).
+    /// The switch applies it to every arrival; a network ingress applies it
+    /// to decoded frames so that garbage never reaches the switch.
+    fn validate(&self, pkt: impl Packet) -> Result<(), AdmitError> {
+        self.check_port(pkt.port())?;
+        let required = self.work(pkt.port());
+        if pkt.work() != required {
+            return Err(AdmitError::WorkMismatch {
+                port: pkt.port(),
+                packet_work: pkt.work().cycles(),
+                port_work: required.cycles(),
+            });
+        }
+        Ok(())
+    }
+}
 
 /// Configuration of a shared-memory switch in the heterogeneous-processing
 /// model: a buffer capacity `B` and one fixed work requirement per output
@@ -177,6 +221,33 @@ impl ValueSwitchConfig {
     /// Number of output ports `n`.
     pub fn ports(&self) -> usize {
         self.ports
+    }
+}
+
+impl sealed::Sealed for WorkSwitchConfig {}
+impl sealed::Sealed for ValueSwitchConfig {}
+
+impl SwitchConfig for WorkSwitchConfig {
+    fn buffer(&self) -> usize {
+        self.buffer
+    }
+    fn ports(&self) -> usize {
+        self.works.len()
+    }
+    fn work(&self, port: PortId) -> Work {
+        self.works[port.index()]
+    }
+}
+
+impl SwitchConfig for ValueSwitchConfig {
+    fn buffer(&self) -> usize {
+        self.buffer
+    }
+    fn ports(&self) -> usize {
+        self.ports
+    }
+    fn work(&self, _port: PortId) -> Work {
+        Work::ONE
     }
 }
 

@@ -5,15 +5,22 @@
 //! Nikolenko, Sirotkin — ICDCS 2014).
 //!
 //! The paper studies an `l × n` switch whose `n` output queues share a single
-//! buffer of `B` unit-sized packet slots, in two flavours:
+//! buffer of `B` unit-sized packet slots. Its two models, and this
+//! repository's combined extension, differ only in how a port's queue orders,
+//! serves and evicts packets, so one state machine, [`Switch`], serves all
+//! three through a queue [`Discipline`]:
 //!
-//! * the **heterogeneous-processing model** ([`WorkSwitch`]): each packet
-//!   carries a required amount of processing; all packets destined to the
-//!   same port require the same work; queues are FIFO; throughput is the
-//!   number of transmitted packets;
-//! * the **heterogeneous-value model** ([`ValueSwitch`]): unit-work packets
-//!   carry intrinsic values; queues are priority queues (most valuable
-//!   first); throughput is the total transmitted value.
+//! * the **heterogeneous-processing model** ([`WorkSwitch`], Section III):
+//!   each packet carries a required amount of processing; all packets
+//!   destined to the same port require the same work; queues are FIFO;
+//!   throughput is the number of transmitted packets;
+//! * the **heterogeneous-value model** ([`ValueSwitch`], Section IV):
+//!   unit-work packets carry intrinsic values; queues are priority queues
+//!   (most valuable first); throughput is the total transmitted value;
+//! * the **combined model** ([`CombinedSwitch`], extension): per-port works
+//!   and per-packet values; each queue serves its packet in service to
+//!   completion, then promotes the most valuable backlogged packet;
+//!   throughput is the total transmitted value.
 //!
 //! This crate owns the *mechanics* — queues, shared-buffer occupancy, the
 //! two-phase slot structure, packet accounting and its conservation laws.
@@ -47,7 +54,6 @@
 
 mod combined {
     pub mod queue;
-    pub mod switch;
 }
 mod config;
 mod counters;
@@ -59,27 +65,30 @@ mod outcome;
 mod packet;
 pub mod reference;
 mod slab;
+mod switch;
 mod work {
     pub mod queue;
-    pub mod switch;
 }
 mod value {
     pub mod queue;
-    pub mod switch;
+}
+
+/// Seals [`Discipline`], [`Packet`] and [`SwitchConfig`]: the switch relies on
+/// the invariants of the three models it ships.
+mod sealed {
+    pub trait Sealed {}
 }
 
 pub use combined::queue::{CombinedQueue, InService};
-pub use combined::switch::{CombinedPacket, CombinedPhaseReport, CombinedSwitch};
-pub use config::{ValueSwitchConfig, WorkSwitchConfig};
+pub use config::{SwitchConfig, ValueSwitchConfig, WorkSwitchConfig};
 pub use counters::{ConservationError, Counters};
 pub use dirty::DirtyPorts;
 pub use error::{AdmitError, ConfigError};
 pub use flush::{FlushMode, FlushPolicy};
 pub use ids::{PortId, Slot, Value, Work};
 pub use outcome::{ArrivalOutcome, DropReason};
-pub use packet::{Transmitted, ValuePacket, WorkPacket};
+pub use packet::{CombinedPacket, Packet, Transmitted, ValuePacket, WorkPacket};
 pub use slab::{BufferCore, SlotList};
+pub use switch::{CombinedSwitch, Discipline, PhaseReport, Switch, ValueSwitch, WorkSwitch};
 pub use value::queue::{RatioKey, ValueEntry, ValueQueue};
-pub use value::switch::{ValuePhaseReport, ValueSwitch};
 pub use work::queue::WorkQueue;
-pub use work::switch::{PhaseReport, WorkSwitch};

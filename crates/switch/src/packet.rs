@@ -1,8 +1,19 @@
-//! Packet types for the two switch models.
+//! Packet types for the three switch models.
 
 use std::fmt;
 
-use crate::{PortId, Slot, Value, Work};
+use crate::{sealed, PortId, Slot, Value, Work};
+
+/// What a [`crate::Switch`] reads off an arriving packet. Sealed;
+/// implemented by [`WorkPacket`], [`ValuePacket`] and [`CombinedPacket`].
+pub trait Packet: Copy + sealed::Sealed {
+    /// Destination output port.
+    fn port(self) -> PortId;
+    /// Required processing (one cycle for a [`ValuePacket`]).
+    fn work(self) -> Work;
+    /// Intrinsic value (one for a [`WorkPacket`]).
+    fn value(self) -> Value;
+}
 
 /// A unit-sized packet in the heterogeneous-processing model (Section III).
 ///
@@ -81,6 +92,89 @@ impl fmt::Display for ValuePacket {
     }
 }
 
+/// A packet of the combined model: destination port, the port's work
+/// requirement, and an intrinsic value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CombinedPacket {
+    port: PortId,
+    work: Work,
+    value: Value,
+}
+
+impl CombinedPacket {
+    /// Creates a packet.
+    pub const fn new(port: PortId, work: Work, value: Value) -> Self {
+        CombinedPacket { port, work, value }
+    }
+
+    /// Destination output port.
+    pub const fn port(self) -> PortId {
+        self.port
+    }
+
+    /// Required processing.
+    pub const fn work(self) -> Work {
+        self.work
+    }
+
+    /// Intrinsic value.
+    pub const fn value(self) -> Value {
+        self.value
+    }
+
+    /// Value per processing cycle — the natural greedy ordering key of the
+    /// combined model.
+    pub fn density(self) -> f64 {
+        self.value.get() as f64 / f64::from(self.work.cycles())
+    }
+}
+
+impl fmt::Display for CombinedPacket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{}/{} -> {}]", self.value, self.work, self.port)
+    }
+}
+
+impl sealed::Sealed for WorkPacket {}
+impl sealed::Sealed for ValuePacket {}
+impl sealed::Sealed for CombinedPacket {}
+
+impl Packet for WorkPacket {
+    fn port(self) -> PortId {
+        self.port
+    }
+    fn work(self) -> Work {
+        self.work
+    }
+    fn value(self) -> Value {
+        Value::ONE
+    }
+}
+
+impl Packet for ValuePacket {
+    fn port(self) -> PortId {
+        self.port
+    }
+    fn work(self) -> Work {
+        Work::ONE
+    }
+    fn value(self) -> Value {
+        self.value
+    }
+}
+
+impl Packet for CombinedPacket {
+    fn port(self) -> PortId {
+        self.port
+    }
+    fn work(self) -> Work {
+        self.work
+    }
+    fn value(self) -> Value {
+        self.value
+    }
+}
+
 /// A packet that has been transmitted, together with timing information.
 ///
 /// Produced by the transmission phase of either switch; useful for latency
@@ -123,6 +217,13 @@ mod tests {
         assert_eq!(p.port(), PortId::new(0));
         assert_eq!(p.value(), Value::new(9));
         assert_eq!(p.to_string(), "[$9 -> port#1]");
+    }
+
+    #[test]
+    fn combined_packet_density_is_value_per_cycle() {
+        let p = CombinedPacket::new(PortId::new(0), Work::new(4), Value::new(6));
+        assert!((p.density() - 1.5).abs() < 1e-12);
+        assert_eq!(p.to_string(), "[$6/4cy -> port#1]");
     }
 
     #[test]

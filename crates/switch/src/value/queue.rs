@@ -1,7 +1,7 @@
 //! A single priority output queue in the heterogeneous-value model.
 
 use crate::slab::{BufferCore, SlotList};
-use crate::{Slot, Value};
+use crate::{sealed, Discipline, Slot, Value, ValuePacket, ValueSwitchConfig, Work};
 
 /// One resident packet of a [`ValueQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +147,64 @@ impl ValueQueue {
         let extremes = self.max == core.front(&self.list).map(|(v, _)| v)
             && self.min == core.back(&self.list).map(|(v, _)| v);
         sorted && sum == self.sum && extremes
+    }
+}
+
+impl sealed::Sealed for ValueQueue {}
+
+/// Most valuable first, one packet per cycle; push-out evicts the minimum,
+/// and an arrival at or below its own queue's minimum evicts itself (equal
+/// values keep arrival order, so the newcomer sorts last).
+impl Discipline for ValueQueue {
+    type Config = ValueSwitchConfig;
+    type Packet = ValuePacket;
+
+    fn with_work(_work: Work) -> Self {
+        ValueQueue::new()
+    }
+
+    fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    fn min_value(&self) -> Option<Value> {
+        self.min
+    }
+
+    fn total_value(&self) -> u64 {
+        self.sum
+    }
+
+    fn insert(&mut self, core: &mut BufferCore, value: Value, slot: Slot) {
+        ValueQueue::insert(self, core, value, slot);
+    }
+
+    fn evicts_own_arrival(&self, value: Value) -> bool {
+        self.min.is_none_or(|min| value <= min)
+    }
+
+    fn evict(&mut self, core: &mut BufferCore) -> Option<Value> {
+        self.pop_min(core).map(|e| e.value)
+    }
+
+    fn serve(&mut self, core: &mut BufferCore, cycles: u32, done: &mut Vec<(Value, Slot)>) -> u32 {
+        let mut used = 0;
+        while used < cycles {
+            let Some(ValueEntry { value, arrived }) = self.pop_max(core) else {
+                break;
+            };
+            done.push((value, arrived));
+            used += 1;
+        }
+        used
+    }
+
+    fn clear(&mut self, core: &mut BufferCore) -> u64 {
+        ValueQueue::clear(self, core)
+    }
+
+    fn invariants_hold(&self, core: &BufferCore) -> bool {
+        ValueQueue::invariants_hold(self, core)
     }
 }
 

@@ -1,7 +1,7 @@
 //! A single FIFO output queue in the heterogeneous-processing model.
 
 use crate::slab::{BufferCore, SlotList};
-use crate::{Slot, Value, Work};
+use crate::{sealed, Discipline, Slot, Value, Work, WorkPacket, WorkSwitchConfig};
 
 /// One output queue of a [`crate::WorkSwitch`].
 ///
@@ -111,6 +111,12 @@ impl WorkQueue {
         cycles: u32,
         completions: &mut Vec<Slot>,
     ) -> u32 {
+        self.run(core, cycles, |arrived| completions.push(arrived))
+    }
+
+    /// [`Self::process`], reporting each completion's arrival slot to
+    /// `done`.
+    fn run(&mut self, core: &mut BufferCore, cycles: u32, mut done: impl FnMut(Slot)) -> u32 {
         let mut budget = cycles;
         while budget > 0 && !self.list.is_empty() {
             let step = budget.min(self.head_residual);
@@ -120,7 +126,7 @@ impl WorkQueue {
                 let (_, arrived) = core
                     .pop_front(&mut self.list)
                     .expect("non-empty queue has a head");
-                completions.push(arrived);
+                done(arrived);
                 if !self.list.is_empty() {
                     self.head_residual = self.work.cycles();
                 }
@@ -150,6 +156,55 @@ impl WorkQueue {
         } else {
             self.head_residual >= 1 && self.head_residual <= self.work.cycles()
         }
+    }
+}
+
+impl sealed::Sealed for WorkQueue {}
+
+/// FIFO service with residual head work; push-out evicts the tail, and an
+/// arrival never evicts itself (the tail it replaces is a resident packet).
+impl Discipline for WorkQueue {
+    type Config = WorkSwitchConfig;
+    type Packet = WorkPacket;
+
+    fn with_work(work: Work) -> Self {
+        WorkQueue::new(work)
+    }
+
+    fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    fn min_value(&self) -> Option<Value> {
+        (!self.list.is_empty()).then_some(Value::ONE)
+    }
+
+    fn total_value(&self) -> u64 {
+        self.list.len() as u64
+    }
+
+    fn insert(&mut self, core: &mut BufferCore, _value: Value, slot: Slot) {
+        self.push_back(core, slot);
+    }
+
+    fn evicts_own_arrival(&self, _value: Value) -> bool {
+        false
+    }
+
+    fn evict(&mut self, core: &mut BufferCore) -> Option<Value> {
+        self.pop_back(core).map(|_| Value::ONE)
+    }
+
+    fn serve(&mut self, core: &mut BufferCore, cycles: u32, done: &mut Vec<(Value, Slot)>) -> u32 {
+        self.run(core, cycles, |arrived| done.push((Value::ONE, arrived)))
+    }
+
+    fn clear(&mut self, core: &mut BufferCore) -> u64 {
+        WorkQueue::clear(self, core)
+    }
+
+    fn invariants_hold(&self, _core: &BufferCore) -> bool {
+        WorkQueue::invariants_hold(self)
     }
 }
 
