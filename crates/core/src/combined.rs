@@ -13,159 +13,24 @@
 use std::cmp::Reverse;
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, CombinedPacket, CombinedSwitch, Counters, DropReason, PhaseReport,
-    PortId, RatioKey, Transmitted, Value, WorkSwitchConfig,
+    ArrivalOutcome, CombinedPacket, CombinedQueue, CombinedSwitch, Counters, DropReason, PortId,
+    RatioKey, Value,
 };
 
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
-use crate::Decision;
+use crate::{Decision, Policy, Runner};
 
-/// An online buffer-management policy for the combined model. Push-out
-/// decisions evict the victim queue's minimal-value packet (virtual-add
-/// semantics when the victim is the destination).
-pub trait CombinedPolicy: std::fmt::Debug + Send {
-    /// Short human-readable identifier.
-    fn name(&self) -> &str;
+/// A policy for the combined model: any [`Policy`] over [`CombinedQueue`]
+/// switches, whose push-out evicts the victim queue's minimal-value packet
+/// (virtual-add semantics when the victim is the destination). A marker
+/// with a blanket impl, so `Box<dyn CombinedPolicy>` names the registry's
+/// boxed policies.
+pub trait CombinedPolicy: Policy<CombinedQueue> {}
 
-    /// Decides the fate of `pkt` given the switch state.
-    fn decide(&mut self, switch: &CombinedSwitch, pkt: CombinedPacket) -> Decision;
-
-    /// Invoked on simulator flushouts.
-    fn on_flush(&mut self) {}
-
-    /// Whether the runner should report queue-change events (see
-    /// [`CombinedPolicy::queues_changed`]) on a switch with `ports` ports.
-    /// Defaults to `false` so scan-based policies pay nothing.
-    fn wants_queue_events(&self, ports: usize) -> bool {
-        let _ = ports;
-        false
-    }
-
-    /// Notifies the policy that `port`'s queue changed since the last
-    /// decision, so incremental indices (see [`crate::ScoreIndex`]) can
-    /// refresh that port's score. Only called when
-    /// [`CombinedPolicy::wants_queue_events`] returns `true`.
-    fn queue_changed(&mut self, switch: &CombinedSwitch, port: PortId) {
-        let _ = (switch, port);
-    }
-
-    /// Batch form of [`CombinedPolicy::queue_changed`]: one call per sync
-    /// with every port that changed since the last decision, letting indexed
-    /// policies rebuild in O(n) when most ports are dirty.
-    fn queues_changed(&mut self, switch: &CombinedSwitch, ports: &[PortId]) {
-        for &port in ports {
-            self.queue_changed(switch, port);
-        }
-    }
-}
-
-impl<P: CombinedPolicy + ?Sized> CombinedPolicy for Box<P> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn decide(&mut self, switch: &CombinedSwitch, pkt: CombinedPacket) -> Decision {
-        (**self).decide(switch, pkt)
-    }
-
-    fn on_flush(&mut self) {
-        (**self).on_flush()
-    }
-
-    fn wants_queue_events(&self, ports: usize) -> bool {
-        (**self).wants_queue_events(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &CombinedSwitch, port: PortId) {
-        (**self).queue_changed(switch, port)
-    }
-
-    fn queues_changed(&mut self, switch: &CombinedSwitch, ports: &[PortId]) {
-        (**self).queues_changed(switch, ports)
-    }
-}
+impl<P: Policy<CombinedQueue> + ?Sized> CombinedPolicy for P {}
 
 /// Binds a [`CombinedPolicy`] to a [`CombinedSwitch`] and a speedup.
-#[derive(Debug)]
-pub struct CombinedRunner<P> {
-    switch: CombinedSwitch,
-    policy: P,
-    speedup: u32,
-    dirty_scratch: Vec<PortId>,
-}
-
-impl<P: CombinedPolicy> CombinedRunner<P> {
-    /// Creates a runner over a fresh switch.
-    pub fn new(config: WorkSwitchConfig, policy: P, speedup: u32) -> Self {
-        CombinedRunner {
-            switch: CombinedSwitch::new(config),
-            policy,
-            speedup,
-            dirty_scratch: Vec::new(),
-        }
-    }
-
-    /// The underlying switch (read-only).
-    pub fn switch(&self) -> &CombinedSwitch {
-        &self.switch
-    }
-
-    /// The bound policy.
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
-    /// Presents one arriving packet and applies the policy's decision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AdmitError`] from inconsistent decisions.
-    pub fn arrival(&mut self, pkt: CombinedPacket) -> Result<Decision, AdmitError> {
-        // Sync incremental indices only when victim selection can run (full
-        // buffer); see `WorkRunner::arrival`.
-        if self.switch.is_full() && self.policy.wants_queue_events(self.switch.ports()) {
-            self.switch.drain_dirty_into(&mut self.dirty_scratch);
-            self.policy
-                .queues_changed(&self.switch, &self.dirty_scratch);
-        }
-        let decision = self.policy.decide(&self.switch, pkt);
-        match decision {
-            Decision::Accept => self.switch.admit(pkt)?,
-            Decision::Drop => self.switch.reject(pkt)?,
-            Decision::PushOut(victim) => {
-                self.switch.push_out_and_admit(victim, pkt)?;
-            }
-        }
-        Ok(decision)
-    }
-
-    /// Runs the transmission phase.
-    pub fn transmission(&mut self) -> PhaseReport {
-        self.switch.transmit(self.speedup)
-    }
-
-    /// Like [`CombinedRunner::transmission`], appending per-packet
-    /// completion details to `out`.
-    pub fn transmission_into(&mut self, out: &mut Vec<Transmitted>) -> PhaseReport {
-        self.switch.transmit_into(self.speedup, out)
-    }
-
-    /// Ends the slot.
-    pub fn end_slot(&mut self) {
-        self.switch.advance_slot();
-    }
-
-    /// Flushes the buffer and notifies the policy.
-    pub fn flush(&mut self) -> u64 {
-        self.policy.on_flush();
-        self.switch.flush()
-    }
-
-    /// Total value transmitted so far.
-    pub fn transmitted_value(&self) -> u64 {
-        self.switch.counters().transmitted_value()
-    }
-}
+pub type CombinedRunner<P> = Runner<CombinedQueue, P>;
 
 // ---------------------------------------------------------------------
 // Policies
@@ -184,7 +49,7 @@ impl GreedyCombined {
     }
 }
 
-impl CombinedPolicy for GreedyCombined {
+impl Policy<CombinedQueue> for GreedyCombined {
     fn name(&self) -> &str {
         "GREEDY"
     }
@@ -213,7 +78,7 @@ impl LqdCombined {
     }
 }
 
-impl CombinedPolicy for LqdCombined {
+impl Policy<CombinedQueue> for LqdCombined {
     fn name(&self) -> &str {
         "LQD"
     }
@@ -264,7 +129,7 @@ impl LwdCombined {
     }
 }
 
-impl CombinedPolicy for LwdCombined {
+impl Policy<CombinedQueue> for LwdCombined {
     fn name(&self) -> &str {
         "LWD"
     }
@@ -413,7 +278,7 @@ impl Wvd {
     }
 }
 
-impl CombinedPolicy for Wvd {
+impl Policy<CombinedQueue> for Wvd {
     fn name(&self) -> &str {
         "WVD"
     }
@@ -466,7 +331,7 @@ impl DensityMvd {
     }
 }
 
-impl CombinedPolicy for DensityMvd {
+impl Policy<CombinedQueue> for DensityMvd {
     fn name(&self) -> &str {
         "MVD-D"
     }
@@ -670,7 +535,7 @@ impl CombinedPqOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smbm_switch::Value;
+    use smbm_switch::WorkSwitchConfig;
 
     fn cfg(k: u32, b: usize) -> WorkSwitchConfig {
         WorkSwitchConfig::contiguous(k, b).unwrap()
@@ -795,18 +660,5 @@ mod tests {
         assert_eq!(opt.transmission(), 0);
         assert_eq!(opt.transmission(), 14);
         opt.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn runner_lifecycle_and_flush() {
-        let c = cfg(2, 4);
-        let mut r = CombinedRunner::new(c.clone(), LqdCombined::new(), 1);
-        r.arrival(pkt(&c, 0, 5)).unwrap();
-        assert_eq!(r.transmission().value, 5);
-        r.end_slot();
-        r.arrival(pkt(&c, 1, 3)).unwrap();
-        assert_eq!(r.flush(), 1);
-        assert_eq!(r.transmitted_value(), 5);
-        r.switch().check_invariants().unwrap();
     }
 }

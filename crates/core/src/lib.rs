@@ -37,6 +37,19 @@
 //!   tiny instances by memoized search, used by the test-suite to verify
 //!   Theorem 7's `OPT <= 2 * LWD` exactly.
 //!
+//! ## One policy interface
+//!
+//! Every online algorithm looks at the shared buffer and one arriving
+//! packet and answers accept, drop or push out; only the queue discipline
+//! differs between the models. [`Policy<Q>`] is that interface over a
+//! `smbm_switch::Switch<Q>`, and one [`Runner<Q, P>`] applies any policy
+//! with one arrival protocol. [`WorkPolicy`], [`ValuePolicy`] and
+//! [`CombinedPolicy`] are marker subtraits naming `Policy<WorkQueue>` etc.
+//! (so `Box<dyn WorkPolicy>` names a boxed registry policy);
+//! [`WorkRunner`], [`ValueRunner`] and [`CombinedRunner`] are aliases. A
+//! new policy implements `Policy<Q>` and needs no new runner. Calling
+//! `name()` on a concrete policy needs `use smbm_core::Policy`.
+//!
 //! ## One system interface
 //!
 //! [`DatapathSystem`] is what the slot machine in `smbm-datapath` drives,
@@ -69,6 +82,7 @@ mod opt {
     pub mod exact;
     pub mod single_pq;
 }
+mod policy;
 mod ratio;
 mod singleq;
 mod system;
@@ -83,6 +97,7 @@ pub use decision::Decision;
 pub use index::ScoreIndex;
 pub use opt::exact::{exact_value_opt, exact_work_opt, TooLargeError, MAX_EXACT_ARRIVALS};
 pub use opt::single_pq::{ValuePqOpt, WorkPqOpt};
+pub use policy::{Policy, Runner};
 pub use ratio::CompetitiveRatio;
 pub use singleq::{FifoAdmission, SingleFifoQueue};
 pub use system::DatapathSystem;

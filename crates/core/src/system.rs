@@ -14,14 +14,11 @@
 //! [`transmission_phase_into`]: DatapathSystem::transmission_phase_into
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, CombinedPacket, Counters, DropReason, Packet, PortId, Transmitted,
-    ValuePacket, WorkPacket,
+    AdmitError, ArrivalOutcome, CombinedPacket, Counters, Discipline, DropReason, Packet, PortId,
+    Transmitted, ValuePacket, WorkPacket,
 };
 
-use crate::{
-    CombinedPolicy, CombinedPqOpt, CombinedRunner, Decision, ValuePolicy, ValuePqOpt, ValueRunner,
-    WorkPolicy, WorkPqOpt, WorkRunner,
-};
+use crate::{CombinedPqOpt, Decision, Policy, Runner, ValuePqOpt, WorkPqOpt};
 
 /// What the slot machine needs from the system it drives: burst admission,
 /// transmission, slot bookkeeping, flush, and the scalar gauges the
@@ -37,9 +34,9 @@ use crate::{
 /// pointer without touching the system.
 pub trait DatapathSystem {
     /// The packet type flowing through the datapath. Plain data: every
-    /// model's packet is `Copy` and crosses threads in the runtime's
+    /// model's packet is `Copy + Send` and crosses threads in the runtime's
     /// ingress rings.
-    type Packet: Packet + Send + 'static;
+    type Packet: Packet;
 
     /// Human-readable label (the policy name) for reports.
     fn label(&self) -> String;
@@ -186,42 +183,38 @@ impl<S: DatapathSystem> DatapathSystem for &mut S {
     }
 }
 
-/// Classifies a policy decision as an [`ArrivalOutcome`], distinguishing
-/// drops forced by a full buffer from voluntary policy rejections.
-fn classify(decision: Decision, was_full: bool) -> ArrivalOutcome {
-    match decision {
-        Decision::Accept => ArrivalOutcome::Admitted,
-        Decision::PushOut(victim) => ArrivalOutcome::PushedOut(victim),
-        Decision::Drop => ArrivalOutcome::Dropped(if was_full {
-            DropReason::BufferFull
-        } else {
-            DropReason::Policy
-        }),
-    }
-}
-
-impl<P: WorkPolicy> DatapathSystem for WorkRunner<P> {
-    type Packet = WorkPacket;
+/// Every runner is a system. The objective is transmitted value in every
+/// model: a work-model packet is worth one, so there it equals the packet
+/// count.
+impl<Q: Discipline, P: Policy<Q>> DatapathSystem for Runner<Q, P> {
+    type Packet = Q::Packet;
 
     fn label(&self) -> String {
         self.policy().name().to_owned()
     }
 
-    fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
+    /// Reports the decision as an outcome, telling a drop forced by a full
+    /// buffer from a policy's refusal with space free.
+    fn offer(&mut self, pkt: Q::Packet) -> Result<ArrivalOutcome, AdmitError> {
         let was_full = self.switch().is_full();
-        Ok(classify(self.arrival(pkt)?, was_full))
+        Ok(match self.arrival(pkt)? {
+            Decision::Accept => ArrivalOutcome::Admitted,
+            Decision::PushOut(victim) => ArrivalOutcome::PushedOut(victim),
+            Decision::Drop if was_full => ArrivalOutcome::Dropped(DropReason::BufferFull),
+            Decision::Drop => ArrivalOutcome::Dropped(DropReason::Policy),
+        })
     }
 
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        self.transmission_into(out).transmitted
+        self.transmission_into(out).value
     }
 
     fn end_slot(&mut self) {
-        WorkRunner::end_slot(self);
+        Runner::end_slot(self);
     }
 
     fn flush(&mut self) -> u64 {
-        WorkRunner::flush(self)
+        Runner::flush(self)
     }
 
     fn occupancy(&self) -> usize {
@@ -229,7 +222,7 @@ impl<P: WorkPolicy> DatapathSystem for WorkRunner<P> {
     }
 
     fn score(&self) -> u64 {
-        self.transmitted()
+        self.transmitted_value()
     }
 
     fn buffer_limit(&self) -> usize {
@@ -279,55 +272,6 @@ impl DatapathSystem for WorkPqOpt {
     }
 }
 
-impl<P: ValuePolicy> DatapathSystem for ValueRunner<P> {
-    type Packet = ValuePacket;
-
-    fn label(&self) -> String {
-        self.policy().name().to_owned()
-    }
-
-    fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError> {
-        let was_full = self.switch().is_full();
-        Ok(classify(self.arrival(pkt)?, was_full))
-    }
-
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        self.transmission_into(out).value
-    }
-
-    fn end_slot(&mut self) {
-        ValueRunner::end_slot(self);
-    }
-
-    fn flush(&mut self) -> u64 {
-        ValueRunner::flush(self)
-    }
-
-    fn occupancy(&self) -> usize {
-        self.switch().occupancy()
-    }
-
-    fn score(&self) -> u64 {
-        self.transmitted_value()
-    }
-
-    fn buffer_limit(&self) -> usize {
-        self.switch().buffer()
-    }
-
-    fn ports(&self) -> usize {
-        self.switch().ports()
-    }
-
-    fn max_queue_depth(&self) -> usize {
-        self.switch().max_queue_len()
-    }
-
-    fn counters(&self) -> Counters {
-        *self.switch().counters()
-    }
-}
-
 impl DatapathSystem for ValuePqOpt {
     type Packet = ValuePacket;
 
@@ -355,55 +299,6 @@ impl DatapathSystem for ValuePqOpt {
 
     fn score(&self) -> u64 {
         self.transmitted_value()
-    }
-}
-
-impl<P: CombinedPolicy> DatapathSystem for CombinedRunner<P> {
-    type Packet = CombinedPacket;
-
-    fn label(&self) -> String {
-        self.policy().name().to_owned()
-    }
-
-    fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError> {
-        let was_full = self.switch().is_full();
-        Ok(classify(self.arrival(pkt)?, was_full))
-    }
-
-    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
-        self.transmission_into(out).value
-    }
-
-    fn end_slot(&mut self) {
-        CombinedRunner::end_slot(self);
-    }
-
-    fn flush(&mut self) -> u64 {
-        CombinedRunner::flush(self)
-    }
-
-    fn occupancy(&self) -> usize {
-        self.switch().occupancy()
-    }
-
-    fn score(&self) -> u64 {
-        self.transmitted_value()
-    }
-
-    fn buffer_limit(&self) -> usize {
-        self.switch().buffer()
-    }
-
-    fn ports(&self) -> usize {
-        self.switch().ports()
-    }
-
-    fn max_queue_depth(&self) -> usize {
-        self.switch().max_queue_len()
-    }
-
-    fn counters(&self) -> Counters {
-        *self.switch().counters()
     }
 }
 
@@ -440,8 +335,10 @@ impl DatapathSystem for CombinedPqOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GreedyValue, Lwd, Nest};
-    use smbm_switch::{Value, ValueSwitchConfig, Work, WorkSwitchConfig};
+    use crate::{CombinedRunner, GreedyValue, Lwd, Nest, NestValue, ValueRunner, WorkRunner};
+    use smbm_switch::{
+        CombinedQueue, CombinedSwitch, Value, ValueSwitchConfig, Work, WorkSwitchConfig,
+    };
 
     /// One admitted packet, one transmission phase: every system reports
     /// the same fate and objective through the shared interface.
@@ -468,46 +365,66 @@ mod tests {
         admit_and_transmit(ValuePqOpt::new(4, 2), vp, 7);
     }
 
-    #[test]
-    fn flush_discards_through_the_trait() {
-        let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-        let mut sys = WorkRunner::new(cfg, Lwd::new(), 1);
-        DatapathSystem::offer(&mut sys, WorkPacket::new(PortId::new(0), Work::new(1))).unwrap();
-        assert_eq!(DatapathSystem::flush(&mut sys), 1);
-        assert_eq!(DatapathSystem::occupancy(&sys), 0);
+    /// Offers `pkt` `times` times; returns the last outcome.
+    fn offer_times<S: DatapathSystem>(sys: &mut S, pkt: S::Packet, times: usize) -> ArrivalOutcome {
+        (0..times).map(|_| sys.offer(pkt).unwrap()).last().unwrap()
+    }
+
+    /// A combined-model policy no bundled one matches: refuse packets worth
+    /// less than 2 even with space free. The same runner applies it.
+    #[derive(Debug)]
+    struct ValueFloor;
+
+    impl Policy<CombinedQueue> for ValueFloor {
+        fn name(&self) -> &str {
+            "FLOOR"
+        }
+        fn decide(&mut self, switch: &CombinedSwitch, pkt: CombinedPacket) -> Decision {
+            if switch.is_full() || pkt.value() < Value::new(2) {
+                Decision::Drop
+            } else {
+                Decision::Accept
+            }
+        }
     }
 
     #[test]
     fn runner_distinguishes_drop_reasons() {
-        // Buffer 1: the first packet is admitted, the second is rejected
-        // because the buffer is full (LWD on a single saturated queue keeps
-        // the incumbent when the arrival is not smaller).
-        let cfg = WorkSwitchConfig::contiguous(1, 1).unwrap();
-        let mut sys = WorkRunner::new(cfg, Lwd::new(), 1);
-        let pkt = sys.switch().packet_for(PortId::new(0));
+        let full = ArrivalOutcome::Dropped(DropReason::BufferFull);
+        let refused = ArrivalOutcome::Dropped(DropReason::Policy);
+        let p0 = PortId::new(0);
+
+        // Work model. LWD on one saturated queue of B = 1 keeps the
+        // incumbent; NEST caps each of 2 queues at B/n = 2 and refuses the
+        // third packet for port 0 while the buffer still has room.
+        let mut sys = WorkRunner::new(WorkSwitchConfig::contiguous(1, 1).unwrap(), Lwd::new(), 1);
+        let pkt = sys.switch().packet_for(p0);
+        assert_eq!(offer_times(&mut sys, pkt, 1), ArrivalOutcome::Admitted);
+        assert_eq!(offer_times(&mut sys, pkt, 1), full);
+        let mut sys = WorkRunner::new(WorkSwitchConfig::contiguous(2, 4).unwrap(), Nest::new(), 1);
+        assert_eq!(offer_times(&mut sys, pkt, 3), refused);
+
+        // Value model: NEST-V refuses the same way; greedy at B = 1 is full.
+        let pkt = ValuePacket::new(p0, Value::new(5));
+        let cfg = ValueSwitchConfig::new(4, 2).unwrap();
         assert_eq!(
-            DatapathSystem::offer(&mut sys, pkt).unwrap(),
-            ArrivalOutcome::Admitted
+            offer_times(&mut ValueRunner::new(cfg, NestValue::new(), 1), pkt, 3),
+            refused
         );
+        let cfg = ValueSwitchConfig::new(1, 1).unwrap();
         assert_eq!(
-            DatapathSystem::offer(&mut sys, pkt).unwrap(),
-            ArrivalOutcome::Dropped(DropReason::BufferFull),
-            "a drop with the buffer at capacity is a buffer-full drop"
+            offer_times(&mut ValueRunner::new(cfg, GreedyValue::new(), 1), pkt, 2),
+            full
         );
 
-        // NEST caps each of 2 queues at B/n = 2: the third packet for port
-        // 0 is refused while the buffer still has room.
-        let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
-        let mut sys = WorkRunner::new(cfg, Nest::new(), 1);
-        let pkt = sys.switch().packet_for(PortId::new(0));
-        for _ in 0..2 {
-            DatapathSystem::offer(&mut sys, pkt).unwrap();
-        }
-        assert_eq!(
-            DatapathSystem::offer(&mut sys, pkt).unwrap(),
-            ArrivalOutcome::Dropped(DropReason::Policy),
-            "a drop with free space is a policy drop"
-        );
+        // Combined model, through the test-local policy.
+        let mut sys =
+            CombinedRunner::new(WorkSwitchConfig::contiguous(2, 2).unwrap(), ValueFloor, 1);
+        let cheap = CombinedPacket::new(p0, Work::new(1), Value::new(1));
+        let dear = CombinedPacket::new(PortId::new(1), Work::new(2), Value::new(9));
+        assert_eq!(offer_times(&mut sys, cheap, 1), refused);
+        assert_eq!(offer_times(&mut sys, dear, 2), ArrivalOutcome::Admitted);
+        assert_eq!(offer_times(&mut sys, cheap, 1), full);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 
 use std::cmp::Reverse;
 
-use smbm_switch::{PortId, ValuePacket, ValueSwitch};
+use smbm_switch::{PortId, ValuePacket, ValueQueue, ValueSwitch};
 
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **LQD** (value model) — on congestion, drop the *lowest-value* packet of
 /// the *longest* queue, balancing queue sizes while ignoring values beyond
@@ -119,7 +119,7 @@ impl LqdValue {
     }
 }
 
-impl super::ValuePolicy for LqdValue {
+impl Policy<ValueQueue> for LqdValue {
     fn name(&self) -> &str {
         "LQD"
     }
@@ -160,7 +160,7 @@ impl super::ValuePolicy for LqdValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::value::ValueRunner;
     use smbm_switch::{Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

@@ -1,10 +1,10 @@
 //! An interpolation family between LQD and LWD, for ablating *what* the
 //! push-out victim score should measure.
 
-use smbm_switch::{PortId, WorkPacket, WorkSwitch};
+use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **AWD(α)** — push out from the queue maximizing the geometric
 /// interpolation `W_j^α * |Q_j|^(1-α)` (after virtually adding the arrival):
@@ -129,7 +129,7 @@ impl AlphaWd {
     }
 }
 
-impl super::WorkPolicy for AlphaWd {
+impl Policy<WorkQueue> for AlphaWd {
     fn name(&self) -> &str {
         // A static name keeps the trait simple; the ablation harness labels
         // variants by alpha itself.
@@ -180,7 +180,7 @@ impl super::WorkPolicy for AlphaWd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{Lqd, Lwd, WorkPolicy, WorkRunner};
+    use crate::work::{Lqd, Lwd, WorkRunner};
     use smbm_switch::WorkSwitchConfig;
 
     #[test]

@@ -8,9 +8,9 @@
 //! form. [`GreedyWork`] (accept whenever there is space) is the cap-free
 //! special case and the natural work-model baseline.
 
-use smbm_switch::{PortId, WorkPacket, WorkSwitch};
+use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// Non-push-out policy that accepts a packet for port `i` iff the buffer has
 /// space and `|Q_i|` is below a fixed per-port cap. Used to script the OPT
@@ -47,7 +47,7 @@ impl CappedWork {
     }
 }
 
-impl super::WorkPolicy for CappedWork {
+impl Policy<WorkQueue> for CappedWork {
     fn name(&self) -> &str {
         "OPT-script"
     }
@@ -76,7 +76,7 @@ impl GreedyWork {
     }
 }
 
-impl super::WorkPolicy for GreedyWork {
+impl Policy<WorkQueue> for GreedyWork {
     fn name(&self) -> &str {
         "GREEDY"
     }
@@ -93,7 +93,7 @@ impl super::WorkPolicy for GreedyWork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::work::WorkRunner;
     use smbm_switch::WorkSwitchConfig;
 
     #[test]

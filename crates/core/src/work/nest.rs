@@ -1,8 +1,8 @@
 //! Non-Push-Out-Equal-Static-Threshold (NEST).
 
-use smbm_switch::{WorkPacket, WorkSwitch};
+use smbm_switch::{WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **NEST** — greedy non-push-out policy with the *same* static threshold
 /// `B/n` on every queue: a complete partition of the shared buffer.
@@ -22,7 +22,7 @@ impl Nest {
     }
 }
 
-impl super::WorkPolicy for Nest {
+impl Policy<WorkQueue> for Nest {
     fn name(&self) -> &str {
         "NEST"
     }
@@ -43,7 +43,7 @@ impl super::WorkPolicy for Nest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::work::WorkRunner;
     use smbm_switch::{PortId, WorkSwitchConfig};
 
     fn runner(k: u32, b: usize) -> WorkRunner<Nest> {

@@ -1,8 +1,8 @@
 //! Non-Push-Out-Harmonic-Dynamic-Threshold (NHDT), from Kesselman & Mansour.
 
-use smbm_switch::{WorkPacket, WorkSwitch};
+use smbm_switch::{WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **NHDT** — greedy non-push-out policy with *dynamic* harmonic thresholds:
 /// for every `m`, the `m` fullest queues may jointly hold at most
@@ -32,7 +32,7 @@ pub fn harmonic(m: usize) -> f64 {
     (1..=m).map(|i| 1.0 / i as f64).sum()
 }
 
-impl super::WorkPolicy for Nhdt {
+impl Policy<WorkQueue> for Nhdt {
     fn name(&self) -> &str {
         "NHDT"
     }
@@ -65,7 +65,7 @@ impl super::WorkPolicy for Nhdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::work::WorkRunner;
     use smbm_switch::{PortId, WorkSwitchConfig};
 
     fn runner(k: u32, b: usize) -> WorkRunner<Nhdt> {

@@ -3,10 +3,10 @@
 //! to heterogeneous processing better; this remains an interesting problem
 //! for future research").
 
-use smbm_switch::{WorkPacket, WorkSwitch};
+use smbm_switch::{WorkPacket, WorkQueue, WorkSwitch};
 
 use crate::work::nhdt::harmonic;
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **NHDT-W** — NHDT with harmonic *work* thresholds: queues are ranked by
 /// outstanding work `W_j` instead of length, and for every `m` the `m`
@@ -38,7 +38,7 @@ impl NhdtW {
     }
 }
 
-impl super::WorkPolicy for NhdtW {
+impl Policy<WorkQueue> for NhdtW {
     fn name(&self) -> &str {
         "NHDT-W"
     }
@@ -76,7 +76,7 @@ impl super::WorkPolicy for NhdtW {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::work::WorkRunner;
     use smbm_switch::{PortId, WorkSwitchConfig};
 
     #[test]

@@ -376,4 +376,63 @@ mod tests {
             Some(Event::DrainEnd { slot: 3 })
         ));
     }
+
+    #[test]
+    fn work_runner_score_is_its_packet_count() {
+        use smbm_core::{DatapathSystem, Lwd};
+        use smbm_switch::{ArrivalOutcome, Transmitted};
+        use smbm_traffic::{MmppScenario, PortMix};
+
+        /// Runs `.0` as the system while `.1`, an identical runner kept in
+        /// lockstep, reports each slot's `PhaseReport`; `.2` counts phases.
+        struct Twin(WorkRunner<Lwd>, WorkRunner<Lwd>, u64);
+        impl DatapathSystem for Twin {
+            type Packet = WorkPacket;
+            fn label(&self) -> String {
+                self.0.label()
+            }
+            fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
+                self.1.arrival(pkt)?;
+                self.0.offer(pkt)
+            }
+            fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
+                let objective = self.0.transmission_phase_into(out);
+                assert_eq!(objective, self.1.transmission().transmitted);
+                self.2 += 1;
+                objective
+            }
+            fn end_slot(&mut self) {
+                self.0.end_slot();
+                self.1.end_slot();
+            }
+            fn flush(&mut self) -> u64 {
+                self.1.flush();
+                self.0.flush()
+            }
+            fn occupancy(&self) -> usize {
+                self.0.occupancy()
+            }
+            fn score(&self) -> u64 {
+                self.0.score()
+            }
+        }
+
+        let cfg = WorkSwitchConfig::contiguous(8, 64).unwrap();
+        let scenario = MmppScenario {
+            sources: 12,
+            slots: 2_000,
+            seed: 7,
+            ..Default::default()
+        };
+        let trace = scenario.work_trace(&cfg, &PortMix::Uniform).unwrap();
+        let lwd = || WorkRunner::new(cfg.clone(), Lwd::new(), 1);
+        let mut twin = Twin(lwd(), lwd(), 0);
+        let summary = run_work(&mut twin, &trace, &EngineConfig::draining()).unwrap();
+        assert_eq!(twin.2, summary.slots);
+        let (score, counters) = (twin.0.score(), *twin.0.switch().counters());
+        assert!(counters.pushed_out() > 0, "the trace must overload LWD");
+        assert_eq!(score, summary.score);
+        assert_eq!(score, counters.transmitted());
+        assert_eq!(score, counters.transmitted_value());
+    }
 }

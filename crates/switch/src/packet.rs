@@ -5,8 +5,9 @@ use std::fmt;
 use crate::{sealed, PortId, Slot, Value, Work};
 
 /// What a [`crate::Switch`] reads off an arriving packet. Sealed;
-/// implemented by [`WorkPacket`], [`ValuePacket`] and [`CombinedPacket`].
-pub trait Packet: Copy + sealed::Sealed {
+/// implemented by [`WorkPacket`], [`ValuePacket`] and [`CombinedPacket`],
+/// all plain data that may cross threads.
+pub trait Packet: Copy + Send + 'static + sealed::Sealed {
     /// Destination output port.
     fn port(self) -> PortId;
     /// Required processing (one cycle for a [`ValuePacket`]).

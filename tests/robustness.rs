@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use smbm_core::{Decision, ValuePolicy, ValueRunner, WorkPolicy, WorkRunner};
+use smbm_core::{Decision, Policy, ValueRunner, WorkRunner};
 use smbm_switch::{
     AdmitError, PortId, ValuePacket, ValueSwitch, ValueSwitchConfig, WorkPacket, WorkSwitch,
     WorkSwitchConfig,
@@ -18,7 +18,7 @@ struct ChaosWork {
     rng: StdRng,
 }
 
-impl WorkPolicy for ChaosWork {
+impl Policy<smbm_switch::WorkQueue> for ChaosWork {
     fn name(&self) -> &str {
         "CHAOS"
     }
@@ -38,7 +38,7 @@ struct ChaosValue {
     rng: StdRng,
 }
 
-impl ValuePolicy for ChaosValue {
+impl Policy<smbm_switch::ValueQueue> for ChaosValue {
     fn name(&self) -> &str {
         "CHAOS"
     }
