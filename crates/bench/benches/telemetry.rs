@@ -1,11 +1,20 @@
 //! Criterion gate for the telemetry plane's hot-path overhead: the same
-//! 4-shard datapath run with the stat-cell observer attached versus with no
-//! observer at all. The CI telemetry-overhead job parses these two medians
-//! and fails the build if telemetry-on regresses throughput by more than 5%.
+//! datapath run with the stat-cell observer attached versus with no
+//! observer at all, in two shapes. The CI telemetry-overhead job parses
+//! each shape's two medians and fails the build if telemetry-on regresses
+//! throughput by more than 5% in either.
 //!
-//! No sampler thread or sinks run here: the gate isolates the per-packet
-//! cost the shard hot loop pays (local tallies plus one relaxed fold per
-//! slot), which is the only part that scales with traffic.
+//! * `null/4`, `telemetry/4`: 4 freerun shards fed 256-packet batches,
+//!   where a slot carries hundreds of packets and the per-slot publish is
+//!   amortized over them;
+//! * `null-lockstep/1`, `telemetry-lockstep/1`: 1 lockstep shard fed one
+//!   batch per trace slot in the paper's Fig. 5 regime (k = 8, B = 64, 12
+//!   MMPP sources, about 6 packets a slot), where the per-slot publish is
+//!   paid every few packets.
+//!
+//! No sampler thread or sinks run here: the gate isolates the cost the
+//! shard hot loop pays (plain per-packet locals plus one seqlock publish
+//! per slot), which is the only part that scales with traffic.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -19,7 +28,13 @@ use smbm_traffic::{MmppScenario, PortMix};
 
 const SHARDS: usize = 4;
 
-fn feeds(cfg: &WorkSwitchConfig) -> Vec<Vec<Vec<WorkPacket>>> {
+/// Trace slots of the lockstep shape's one feed.
+const LOCKSTEP_SLOTS: usize = 50_000;
+
+/// One feed (a list of batches) per shard.
+type Feeds = Vec<Vec<Vec<WorkPacket>>>;
+
+fn freerun_feeds(cfg: &WorkSwitchConfig) -> Feeds {
     (0..SHARDS)
         .map(|s| {
             let scenario = MmppScenario {
@@ -37,14 +52,28 @@ fn feeds(cfg: &WorkSwitchConfig) -> Vec<Vec<Vec<WorkPacket>>> {
         .collect()
 }
 
+fn lockstep_feeds(cfg: &WorkSwitchConfig) -> Feeds {
+    let scenario = MmppScenario {
+        sources: 12,
+        slots: LOCKSTEP_SLOTS,
+        seed: 7,
+        ..Default::default()
+    };
+    vec![scenario
+        .work_trace(cfg, &PortMix::Uniform)
+        .expect("valid scenario")
+        .into_slots()]
+}
+
 fn run_datapath(
     cfg: &WorkSwitchConfig,
-    feeds: &[Vec<Vec<WorkPacket>>],
+    feeds: &Feeds,
+    shard: &ShardConfig,
     telemetry: Option<TelemetryConfig>,
 ) -> (u64, u64) {
     let mut builder = RuntimeBuilder::new(RuntimeConfig {
         ring_capacity: 64,
-        shard: ShardConfig::freerun(),
+        shard: shard.clone(),
         telemetry,
         ..RuntimeConfig::default()
     });
@@ -64,31 +93,64 @@ fn run_datapath(
     (report.score(), report.counters().arrived())
 }
 
-fn telemetry_overhead(c: &mut Criterion) {
-    let cfg = WorkSwitchConfig::contiguous(64, 512).expect("valid");
-    let feeds = feeds(&cfg);
+/// Benches one shape with and without telemetry, as `{null,telemetry}
+/// {suffix}/{shards}`.
+fn bench_shape(
+    c: &mut Criterion,
+    cfg: &WorkSwitchConfig,
+    feeds: &Feeds,
+    shard: ShardConfig,
+    suffix: &str,
+) {
     let total: u64 = feeds.iter().flatten().map(|b| b.len() as u64).sum();
-
     let mut group = c.benchmark_group("telemetry-overhead");
     group.throughput(Throughput::Elements(total));
-    group.bench_with_input(BenchmarkId::new("null", SHARDS), &feeds, |b, feeds| {
-        b.iter(|| black_box(run_datapath(&cfg, feeds, None)));
-    });
-    group.bench_with_input(BenchmarkId::new("telemetry", SHARDS), &feeds, |b, feeds| {
-        b.iter(|| {
-            black_box(run_datapath(
-                &cfg,
-                feeds,
-                // A quiet sampler: the interval is far beyond the run's
-                // length, so the measurement sees only the hot-path cost.
-                Some(TelemetryConfig {
-                    interval: Duration::from_secs(3600),
-                    ..TelemetryConfig::default()
-                }),
-            ))
-        });
-    });
+    group.bench_with_input(
+        BenchmarkId::new(format!("null{suffix}"), feeds.len()),
+        feeds,
+        |b, feeds| {
+            b.iter(|| black_box(run_datapath(cfg, feeds, &shard, None)));
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new(format!("telemetry{suffix}"), feeds.len()),
+        feeds,
+        |b, feeds| {
+            b.iter(|| {
+                black_box(run_datapath(
+                    cfg,
+                    feeds,
+                    &shard,
+                    // A quiet sampler: the interval is far beyond the run's
+                    // length, so the measurement sees only the hot-path cost.
+                    Some(TelemetryConfig {
+                        interval: Duration::from_secs(3600),
+                        ..TelemetryConfig::default()
+                    }),
+                ))
+            });
+        },
+    );
     group.finish();
+}
+
+fn telemetry_overhead(c: &mut Criterion) {
+    let freerun = WorkSwitchConfig::contiguous(64, 512).expect("valid");
+    bench_shape(
+        c,
+        &freerun,
+        &freerun_feeds(&freerun),
+        ShardConfig::freerun(),
+        "",
+    );
+    let paper = WorkSwitchConfig::contiguous(8, 64).expect("valid");
+    bench_shape(
+        c,
+        &paper,
+        &lockstep_feeds(&paper),
+        ShardConfig::lockstep(),
+        "-lockstep",
+    );
 }
 
 criterion_group! {

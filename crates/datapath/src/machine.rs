@@ -102,7 +102,7 @@ pub struct SlotMachine<S: DatapathSystem> {
     sys: S,
     stats: SlotStats,
     flush: Option<FlushPolicy>,
-    emit_queue_depth: bool,
+    live_telemetry: bool,
     scratch: Vec<Transmitted>,
 }
 
@@ -114,18 +114,19 @@ impl<S: DatapathSystem> SlotMachine<S> {
             sys,
             stats: SlotStats::new(),
             flush,
-            emit_queue_depth: false,
+            live_telemetry: false,
             scratch: Vec::new(),
         }
     }
 
-    /// Enables the per-slot [`Observer::queue_depth`] gauge emission the
-    /// telemetry plane feeds on. Off by default: the gauge costs an O(n)
-    /// scan of the port queues per slot, which the offline engine does not
-    /// pay.
+    /// Enables the per-slot emissions only the live telemetry plane feeds
+    /// on: the [`Observer::queue_depth`] gauge and the
+    /// [`Observer::slot_counters`] snapshot. Off by default: the gauge costs
+    /// an O(n) scan of the port queues per slot, which the offline engine
+    /// does not pay.
     #[must_use]
-    pub fn emit_queue_depth(mut self, on: bool) -> Self {
-        self.emit_queue_depth = on;
+    pub fn live_telemetry(mut self, on: bool) -> Self {
+        self.live_telemetry = on;
         self
     }
 
@@ -267,10 +268,7 @@ impl<S: DatapathSystem> SlotMachine<S> {
             obs.phase_end(Phase::Drain);
             self.stats.slots += 1;
             sum_acc += self.sys.occupancy() as u64;
-            obs.slot_end(slot, self.sys.occupancy());
-            if self.emit_queue_depth {
-                obs.queue_depth(slot, self.sys.max_queue_depth() as u64);
-            }
+            self.emit_slot_end(slot, obs);
             hook.slot_done(&self.sys, &self.stats);
             guard += 1;
             if guard >= MAX_DRAIN_SLOTS {
@@ -323,11 +321,21 @@ impl<S: DatapathSystem> SlotMachine<S> {
         if count_max {
             self.stats.occ_max = self.stats.occ_max.max(occ);
         }
-        obs.slot_end(slot, occ);
-        if self.emit_queue_depth {
-            obs.queue_depth(slot, self.sys.max_queue_depth() as u64);
-        }
+        self.emit_slot_end(slot, obs);
         hook.slot_done(&self.sys, &self.stats);
+    }
+
+    /// Emits the end-of-slot events at the system's current state:
+    /// [`Observer::slot_end`], then (with [`SlotMachine::live_telemetry`])
+    /// the queue-depth gauge and the counters snapshot. A driver that
+    /// abandons a slot [`SlotMachine::step`] left incomplete calls this to
+    /// close it for its observers.
+    pub fn emit_slot_end<O: Observer>(&self, slot: u64, obs: &mut O) {
+        obs.slot_end(slot, self.sys.occupancy());
+        if self.live_telemetry {
+            obs.queue_depth(slot, self.sys.max_queue_depth() as u64);
+            obs.slot_counters(slot, &self.sys.counters());
+        }
     }
 }
 

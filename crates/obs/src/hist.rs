@@ -352,10 +352,6 @@ impl Observer for HistogramRecorder {
         }
     }
 
-    fn backpressure(&mut self, _slot: u64, packets: u64) {
-        self.dropped_backpressure += packets;
-    }
-
     fn pushed_out(&mut self, _slot: u64, victim: PortId) {
         self.pushed_out += 1;
         let q = self.queue_slot(victim);
@@ -571,9 +567,8 @@ mod tests {
         assert_eq!(r.burst().max(), 4);
         assert_eq!(r.drop_count(DropReason::Policy), 1);
         assert_eq!(r.drop_count(DropReason::BufferFull), 0);
-        r.backpressure(0, 5);
         r.dropped(0, p1, DropReason::Backpressure);
-        assert_eq!(r.drop_count(DropReason::Backpressure), 6);
+        assert_eq!(r.drop_count(DropReason::Backpressure), 1);
 
         // A drain slot (no arrivals) leaves the burst histogram untouched.
         r.slot_start(1);

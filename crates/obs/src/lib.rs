@@ -58,8 +58,8 @@ pub use telemetry::{
     TelemetryReport, TelemetrySample, TelemetrySampler,
 };
 
-use smbm_switch::PortId;
 pub use smbm_switch::{ArrivalOutcome, DropReason};
+use smbm_switch::{Counters, PortId};
 
 /// A phase of the slot loop, reported to [`Observer::phase_start`] /
 /// [`Observer::phase_end`].
@@ -149,13 +149,6 @@ pub trait Observer {
     /// The offered packet was rejected.
     fn dropped(&mut self, slot: u64, port: PortId, reason: DropReason) {}
 
-    /// A full ingress ring rejected `packets` packets destined into the
-    /// runtime before they reached admission control (runtime datapath
-    /// only). Distinct from [`Observer::dropped`] with
-    /// [`DropReason::Backpressure`], which reports per-packet attribution
-    /// when the caller has it.
-    fn backpressure(&mut self, slot: u64, packets: u64) {}
-
     /// A resident packet queued for `victim` was evicted to make room
     /// (always followed by [`Observer::admitted`] for the arrival).
     fn pushed_out(&mut self, slot: u64, victim: PortId) {}
@@ -179,6 +172,20 @@ pub trait Observer {
     /// slot (runtime datapath only; feeds the telemetry plane's queue-depth
     /// gauge and high-watermark).
     fn queue_depth(&mut self, slot: u64, depth: u64) {}
+
+    /// The switch's lifetime counters at the end of the slot, emitted after
+    /// [`Observer::slot_end`] and [`Observer::queue_depth`] (runtime
+    /// datapath only; the telemetry plane publishes them as its packet
+    /// counts instead of re-counting the per-packet hooks).
+    fn slot_counters(&mut self, slot: u64, counters: &Counters) {}
+
+    /// The supervisor closed the books on a dead shard incarnation, or on
+    /// the whole shard at exit: `totals` are the corrected counters of every
+    /// incarnation so far, and later [`Observer::slot_counters`] snapshots
+    /// (of a fresh incarnation, counting from zero) add on top of them.
+    /// Tallies of a slot that never completed are void (runtime datapath
+    /// only).
+    fn counters_rebased(&mut self, totals: &Counters) {}
 
     /// A shard (re)started serving a switch with the given shared buffer
     /// limit and port count (runtime datapath only; feeds the telemetry
@@ -223,9 +230,6 @@ impl<O: Observer> Observer for &mut O {
     fn dropped(&mut self, slot: u64, port: PortId, reason: DropReason) {
         (**self).dropped(slot, port, reason);
     }
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        (**self).backpressure(slot, packets);
-    }
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
         (**self).pushed_out(slot, victim);
     }
@@ -246,6 +250,12 @@ impl<O: Observer> Observer for &mut O {
     }
     fn queue_depth(&mut self, slot: u64, depth: u64) {
         (**self).queue_depth(slot, depth);
+    }
+    fn slot_counters(&mut self, slot: u64, counters: &Counters) {
+        (**self).slot_counters(slot, counters);
+    }
+    fn counters_rebased(&mut self, totals: &Counters) {
+        (**self).counters_rebased(totals);
     }
     fn shard_started(&mut self, buffer_limit: usize, ports: usize) {
         (**self).shard_started(buffer_limit, ports);
@@ -290,11 +300,6 @@ impl<O: Observer> Observer for Option<O> {
             o.dropped(slot, port, reason);
         }
     }
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        if let Some(o) = self {
-            o.backpressure(slot, packets);
-        }
-    }
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
         if let Some(o) = self {
             o.pushed_out(slot, victim);
@@ -328,6 +333,16 @@ impl<O: Observer> Observer for Option<O> {
     fn queue_depth(&mut self, slot: u64, depth: u64) {
         if let Some(o) = self {
             o.queue_depth(slot, depth);
+        }
+    }
+    fn slot_counters(&mut self, slot: u64, counters: &Counters) {
+        if let Some(o) = self {
+            o.slot_counters(slot, counters);
+        }
+    }
+    fn counters_rebased(&mut self, totals: &Counters) {
+        if let Some(o) = self {
+            o.counters_rebased(totals);
         }
     }
     fn shard_started(&mut self, buffer_limit: usize, ports: usize) {
@@ -380,10 +395,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
         self.0.dropped(slot, port, reason);
         self.1.dropped(slot, port, reason);
     }
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        self.0.backpressure(slot, packets);
-        self.1.backpressure(slot, packets);
-    }
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
         self.0.pushed_out(slot, victim);
         self.1.pushed_out(slot, victim);
@@ -411,6 +422,14 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     fn queue_depth(&mut self, slot: u64, depth: u64) {
         self.0.queue_depth(slot, depth);
         self.1.queue_depth(slot, depth);
+    }
+    fn slot_counters(&mut self, slot: u64, counters: &Counters) {
+        self.0.slot_counters(slot, counters);
+        self.1.slot_counters(slot, counters);
+    }
+    fn counters_rebased(&mut self, totals: &Counters) {
+        self.0.counters_rebased(totals);
+        self.1.counters_rebased(totals);
     }
     fn shard_started(&mut self, buffer_limit: usize, ports: usize) {
         self.0.shard_started(buffer_limit, ports);

@@ -4,25 +4,34 @@
 //!
 //! ## Design
 //!
-//! Each shard owns one [`StatCell`]: a cache-line-padded block of atomic
-//! counters and gauges plus a mergeable latency histogram guarded by a
-//! seqlock-style epoch. The shard hot loop never takes a lock and never
-//! issues a stronger-than-release atomic: the [`TelemetryObserver`]
-//! accumulates per-packet tallies in plain (non-atomic) locals and folds
-//! them into the cell once per slot with relaxed read-modify-writes, so the
-//! per-packet cost of telemetry is an ordinary register increment.
+//! Each shard owns one [`StatCell`] made of two blocks on cache lines of
+//! their own, and no field of either has two writers:
 //!
-//! The [`TelemetrySampler`] thread snapshots every cell at a configurable
-//! interval. Counter loads are relaxed: each field is individually monotone
-//! (per-location modification order), but a mid-run sample may observe
-//! fields of the *same* cell at slightly different instants — e.g.
-//! `admitted` momentarily ahead of `arrived`. The final sample is taken
-//! after the runtime joins its shard threads, so thread-join's
-//! happens-before edge makes it exact. The latency histogram needs
-//! multi-word consistency even mid-run (its `count` must equal the bucket
-//! sum for quantiles to make sense), so it sits behind a seqlock epoch:
-//! writers bump the epoch to odd, merge, bump back to even; readers retry
-//! while the epoch is odd or changed underneath them.
+//! * The **shard block** is written only by the shard thread, through its
+//!   [`TelemetryObserver`]. At every slot boundary the observer publishes
+//!   the switch's cumulative `Counters` (the supervisor's corrected totals
+//!   of earlier incarnations plus the live incarnation's), the slot count,
+//!   the gauges, the latency histogram, and the two splits `Counters`
+//!   cannot express (buffer-full versus policy drops, flushes versus
+//!   push-outs). The whole block is written with plain relaxed stores inside
+//!   one seqlock write section: the writer bumps the epoch to odd, stores,
+//!   and bumps it back to even with release ordering. The per-packet hooks
+//!   touch only plain locals, and nothing on the per-slot path is an atomic
+//!   read-modify-write; the histogram republishes only the buckets the slot
+//!   touched.
+//! * The **ingress block** is written by any number of producer and socket
+//!   threads with relaxed `fetch_add`s: ring backpressure, sends lost to a
+//!   dead shard, and the network plane's receive and decode tallies.
+//!
+//! [`StatCell::snapshot`] reads the shard block under its epoch, retrying
+//! while the epoch is odd or moves underneath it, so every sample — mid-run
+//! ones included — is one slot boundary's state: `arrived == admitted +
+//! dropped`, `admitted == transmitted + pushed_out + flushed + occupancy`,
+//! and the histogram's count equals its bucket sum. It then adds the
+//! ingress tallies, each into both sides of the arrival law. The
+//! [`TelemetrySampler`] takes its final sample after the runtime joins its
+//! shard threads, so thread-join's happens-before edge makes it exact: it
+//! equals the runtime report's counters field for field.
 
 use std::collections::VecDeque;
 use std::ffi::OsString;
@@ -37,103 +46,15 @@ use std::time::{Duration, Instant};
 use crate::hist::BUCKETS;
 use crate::sink::JsonlWriter;
 use crate::{DropReason, LogHistogram, Observer};
-use smbm_switch::PortId;
+use smbm_switch::{Counters, PortId};
 
 /// Consecutive failed snapshot attempts before the reader yields its
 /// timeslice (the writer may be descheduled mid-write-section; spinning
 /// against it would just burn the core the writer needs).
 const SEQLOCK_SPINS_BEFORE_YIELD: u32 = 64;
 
-/// A [`LogHistogram`] shared between one writer (the shard thread) and any
-/// number of snapshotting readers, guarded by a seqlock-style epoch.
-///
-/// All storage is atomic, so even a lost seqlock race yields a merely stale
-/// or torn histogram — never undefined behavior (`smbm-obs` forbids
-/// `unsafe`). The epoch protocol is the classic one: the writer bumps the
-/// epoch to odd, applies relaxed updates, then bumps it back to even with
-/// release ordering; readers pair an acquire load with an acquire fence and
-/// retry on an odd or moved epoch.
-#[derive(Debug)]
-pub(crate) struct AtomicLogHistogram {
-    epoch: AtomicU64,
-    counts: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicLogHistogram {
-    pub(crate) fn new() -> Self {
-        AtomicLogHistogram {
-            epoch: AtomicU64::new(0),
-            counts: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Folds a plain single-threaded delta histogram into the shared cells
-    /// under one seqlock write section. Single-writer: only the owning
-    /// shard thread calls this.
-    pub(crate) fn merge_delta(&self, delta: &LogHistogram) {
-        if delta.count() == 0 {
-            return;
-        }
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        for (i, &c) in delta.bucket_counts().iter().enumerate() {
-            if c != 0 {
-                self.counts[i].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(delta.count(), Ordering::Relaxed);
-        self.sum.fetch_add(delta.sum(), Ordering::Relaxed);
-        self.min.fetch_min(delta.min(), Ordering::Relaxed);
-        self.max.fetch_max(delta.max(), Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    fn read_relaxed(&self) -> LogHistogram {
-        let mut counts = [0u64; BUCKETS];
-        for (dst, src) in counts.iter_mut().zip(self.counts.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        LogHistogram::from_raw(
-            counts,
-            self.count.load(Ordering::Relaxed),
-            self.sum.load(Ordering::Relaxed),
-            self.min.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
-    }
-
-    /// A consistent snapshot. Retries until a read completes without the
-    /// epoch moving; termination is guaranteed because write sections are
-    /// short and bounded (one merge per slot), so the reader always finds a
-    /// gap between them.
-    pub(crate) fn snapshot(&self) -> LogHistogram {
-        let mut attempts: u32 = 0;
-        loop {
-            let before = self.epoch.load(Ordering::Acquire);
-            if before & 1 == 0 {
-                let hist = self.read_relaxed();
-                fence(Ordering::Acquire);
-                if self.epoch.load(Ordering::Relaxed) == before {
-                    return hist;
-                }
-            }
-            attempts += 1;
-            if attempts.is_multiple_of(SEQLOCK_SPINS_BEFORE_YIELD) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
+// A publish names the histogram buckets it touched in one `u128` mask.
+const _: () = assert!(BUCKETS <= 128);
 
 /// Per-socket network ingress tallies: how many datagrams and frames a
 /// socket received and how many frames it failed to decode.
@@ -171,156 +92,87 @@ impl NetCounts {
     }
 }
 
-/// One shard's live statistics: atomic counters and gauges written by the
-/// shard thread with relaxed ordering and read by the [`TelemetrySampler`].
+/// One shard's live statistics: the shard block its [`TelemetryObserver`]
+/// publishes once per slot, and the ingress block producer and socket
+/// threads add to (see the module docs for the consistency contract).
 ///
-/// Padded to two 64-byte cache lines' alignment so neighbouring shards'
-/// cells never false-share, which is what keeps the hot-loop writes cheap.
-#[derive(Debug)]
-#[repr(align(128))]
+/// Both blocks are aligned to two 64-byte cache lines, so the shard's
+/// stores never false-share with producers' `fetch_add`s or with a
+/// neighbouring shard's cell.
+#[derive(Debug, Default)]
 pub struct StatCell {
-    // Counters (monotone). Written by the shard thread, except that
-    // producers also add their ring rejections to `arrived`,
-    // `arrived_value` and `dropped_backpressure` (`record_backpressure`);
-    // every write is a relaxed `fetch_add`, so sharing them is safe.
+    shard: ShardBlock,
+    ingress: IngressBlock,
+}
+
+/// The shard-owned words of a [`StatCell`]. Their one writer is the shard's
+/// [`TelemetryObserver`]; readers go through the `epoch` seqlock.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct ShardBlock {
+    epoch: AtomicU64,
     arrived: AtomicU64,
     arrived_value: AtomicU64,
     admitted: AtomicU64,
     dropped_buffer_full: AtomicU64,
     dropped_policy: AtomicU64,
-    dropped_backpressure: AtomicU64,
     dropped_shard_failure: AtomicU64,
-    dropped_net_decode: AtomicU64,
     pushed_out: AtomicU64,
+    flushed: AtomicU64,
     transmitted: AtomicU64,
     transmitted_value: AtomicU64,
-    flushed: AtomicU64,
-    // Net ingress counters. Unlike the single-writer fields above these are
-    // written by the *socket* thread(s) feeding the shard, not the shard
-    // thread itself; plain relaxed fetch_adds are multi-writer safe.
-    net_datagrams: AtomicU64,
-    net_frames: AtomicU64,
-    net_decode_errors: AtomicU64,
-    net_truncations: AtomicU64,
     slots: AtomicU64,
     restarts: AtomicU64,
     panics: AtomicU64,
     failures: AtomicU64,
-    // Gauges (latest value; queue_hwm is monotone max).
     occupancy: AtomicU64,
     queue_depth: AtomicU64,
     queue_hwm: AtomicU64,
     buffer_limit: AtomicU64,
     ports: AtomicU64,
-    latency: AtomicLogHistogram,
+    latency: AtomicBuckets,
+    latency_count: AtomicU64,
+    latency_sum: AtomicU64,
+    latency_min: AtomicU64,
+    latency_max: AtomicU64,
 }
 
-impl Default for StatCell {
+#[derive(Debug)]
+struct AtomicBuckets([AtomicU64; BUCKETS]);
+
+impl Default for AtomicBuckets {
     fn default() -> Self {
-        Self::new()
+        AtomicBuckets([const { AtomicU64::new(0) }; BUCKETS])
     }
 }
 
-impl StatCell {
-    /// Creates a zeroed cell.
-    pub fn new() -> Self {
-        StatCell {
-            arrived: AtomicU64::new(0),
-            arrived_value: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            dropped_buffer_full: AtomicU64::new(0),
-            dropped_policy: AtomicU64::new(0),
-            dropped_backpressure: AtomicU64::new(0),
-            dropped_shard_failure: AtomicU64::new(0),
-            dropped_net_decode: AtomicU64::new(0),
-            pushed_out: AtomicU64::new(0),
-            transmitted: AtomicU64::new(0),
-            transmitted_value: AtomicU64::new(0),
-            flushed: AtomicU64::new(0),
-            net_datagrams: AtomicU64::new(0),
-            net_frames: AtomicU64::new(0),
-            net_decode_errors: AtomicU64::new(0),
-            net_truncations: AtomicU64::new(0),
-            slots: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            occupancy: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_hwm: AtomicU64::new(0),
-            buffer_limit: AtomicU64::new(0),
-            ports: AtomicU64::new(0),
-            latency: AtomicLogHistogram::new(),
-        }
-    }
-
-    /// Records socket-level receive activity and decode losses from a net
-    /// ingress thread feeding this shard. Safe to call from any thread —
-    /// these counters are multi-writer by design (relaxed `fetch_add`s),
-    /// unlike the single-writer shard-loop fields. `dropped_frames` is the
-    /// [`crate::DropReason::NetDecode`] drop count: frames from well-formed
-    /// datagrams that were lost to truncation or failed validation.
-    pub fn record_net(&self, counts: NetCounts, dropped_frames: u64) {
+impl ShardBlock {
+    /// Reads every word with relaxed loads; only [`ShardBlock::read`]'s
+    /// epoch check makes the result one consistent state.
+    fn read_relaxed(&self) -> StatSnapshot {
         let r = Ordering::Relaxed;
-        if counts.datagrams != 0 {
-            self.net_datagrams.fetch_add(counts.datagrams, r);
+        let mut buckets = [0u64; BUCKETS];
+        for (dst, src) in buckets.iter_mut().zip(self.latency.0.iter()) {
+            *dst = src.load(r);
         }
-        if counts.frames != 0 {
-            self.net_frames.fetch_add(counts.frames, r);
-        }
-        if counts.decode_errors != 0 {
-            self.net_decode_errors.fetch_add(counts.decode_errors, r);
-        }
-        if counts.truncations != 0 {
-            self.net_truncations.fetch_add(counts.truncations, r);
-        }
-        if dropped_frames != 0 {
-            self.dropped_net_decode.fetch_add(dropped_frames, r);
-        }
-    }
-
-    /// Records `packets` packets of total worth `value` rejected by the
-    /// shard's full ingress ring before they reached the shard: they count
-    /// as arrivals and as [`crate::DropReason::Backpressure`] drops, as in
-    /// the runtime's final counters. Safe to call from any producer thread,
-    /// like [`StatCell::record_net`].
-    pub fn record_backpressure(&self, packets: u64, value: u64) {
-        let r = Ordering::Relaxed;
-        self.arrived.fetch_add(packets, r);
-        self.arrived_value.fetch_add(value, r);
-        self.dropped_backpressure.fetch_add(packets, r);
-    }
-
-    /// Reads just the net ingress tallies with relaxed loads; cheap enough
-    /// for the supervisor to call while assembling a flight dump.
-    pub fn net_counts(&self) -> NetCounts {
-        let r = Ordering::Relaxed;
-        NetCounts {
-            datagrams: self.net_datagrams.load(r),
-            frames: self.net_frames.load(r),
-            decode_errors: self.net_decode_errors.load(r),
-            truncations: self.net_truncations.load(r),
-        }
-    }
-
-    /// Reads every field with relaxed loads (see the module docs for the
-    /// consistency contract) and the latency histogram through its seqlock.
-    pub fn snapshot(&self) -> StatSnapshot {
-        let r = Ordering::Relaxed;
+        let count = self.latency_count.load(r);
+        // An empty histogram's minimum is the `u64::MAX` sentinel.
+        let min = if count == 0 {
+            u64::MAX
+        } else {
+            self.latency_min.load(r)
+        };
         StatSnapshot {
             arrived: self.arrived.load(r),
             arrived_value: self.arrived_value.load(r),
             admitted: self.admitted.load(r),
             dropped_buffer_full: self.dropped_buffer_full.load(r),
             dropped_policy: self.dropped_policy.load(r),
-            dropped_backpressure: self.dropped_backpressure.load(r),
             dropped_shard_failure: self.dropped_shard_failure.load(r),
-            dropped_net_decode: self.dropped_net_decode.load(r),
-            net: self.net_counts(),
             pushed_out: self.pushed_out.load(r),
+            flushed: self.flushed.load(r),
             transmitted: self.transmitted.load(r),
             transmitted_value: self.transmitted_value.load(r),
-            flushed: self.flushed.load(r),
             slots: self.slots.load(r),
             restarts: self.restarts.load(r),
             panics: self.panics.load(r),
@@ -330,8 +182,137 @@ impl StatCell {
             queue_hwm: self.queue_hwm.load(r),
             buffer_limit: self.buffer_limit.load(r),
             ports: self.ports.load(r),
-            latency: self.latency.snapshot(),
+            latency: LogHistogram::from_raw(
+                buckets,
+                count,
+                self.latency_sum.load(r),
+                min,
+                self.latency_max.load(r),
+            ),
+            ..StatSnapshot::default()
         }
+    }
+
+    /// A consistent snapshot of the block. Retries until a read completes
+    /// without the epoch moving; termination is guaranteed because write
+    /// sections are short and bounded (one publish per slot), so the
+    /// reader always finds a gap between them.
+    fn read(&self) -> StatSnapshot {
+        let mut attempts: u32 = 0;
+        loop {
+            let before = self.epoch.load(Ordering::Acquire);
+            if before & 1 == 0 {
+                let snapshot = self.read_relaxed();
+                fence(Ordering::Acquire);
+                if self.epoch.load(Ordering::Relaxed) == before {
+                    return snapshot;
+                }
+            }
+            attempts += 1;
+            if attempts.is_multiple_of(SEQLOCK_SPINS_BEFORE_YIELD) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+}
+
+/// The multi-writer words of a [`StatCell`]: tallies producer and socket
+/// threads add with relaxed `fetch_add`s, never the shard thread.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct IngressBlock {
+    backpressure: AtomicU64,
+    backpressure_value: AtomicU64,
+    lost: AtomicU64,
+    lost_value: AtomicU64,
+    net_decode: AtomicU64,
+    net_datagrams: AtomicU64,
+    net_frames: AtomicU64,
+    net_decode_errors: AtomicU64,
+    net_truncations: AtomicU64,
+}
+
+impl StatCell {
+    /// Creates a zeroed cell.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records socket-level receive activity and decode losses from a net
+    /// ingress thread feeding this shard. Safe to call from any thread.
+    /// `dropped_frames` is the [`crate::DropReason::NetDecode`] drop count:
+    /// frames from well-formed datagrams that were lost to truncation or
+    /// failed validation. They count as arrivals too, as in the runtime's
+    /// final counters.
+    pub fn record_net(&self, counts: NetCounts, dropped_frames: u64) {
+        let r = Ordering::Relaxed;
+        let i = &self.ingress;
+        if counts.datagrams != 0 {
+            i.net_datagrams.fetch_add(counts.datagrams, r);
+        }
+        if counts.frames != 0 {
+            i.net_frames.fetch_add(counts.frames, r);
+        }
+        if counts.decode_errors != 0 {
+            i.net_decode_errors.fetch_add(counts.decode_errors, r);
+        }
+        if counts.truncations != 0 {
+            i.net_truncations.fetch_add(counts.truncations, r);
+        }
+        if dropped_frames != 0 {
+            i.net_decode.fetch_add(dropped_frames, r);
+        }
+    }
+
+    /// Records `packets` packets of total worth `value` rejected by the
+    /// shard's full ingress ring before they reached the shard: they count
+    /// as arrivals and as [`crate::DropReason::Backpressure`] drops, as in
+    /// the runtime's final counters. Safe to call from any producer thread.
+    pub fn record_backpressure(&self, packets: u64, value: u64) {
+        let r = Ordering::Relaxed;
+        self.ingress.backpressure.fetch_add(packets, r);
+        self.ingress.backpressure_value.fetch_add(value, r);
+    }
+
+    /// Records `packets` packets of total worth `value` a producer could not
+    /// deliver because the shard was gone (its ring closed): they count as
+    /// arrivals and as [`crate::DropReason::ShardFailure`] drops, as in the
+    /// runtime's final counters. Safe to call from any producer thread.
+    pub fn record_lost(&self, packets: u64, value: u64) {
+        let r = Ordering::Relaxed;
+        self.ingress.lost.fetch_add(packets, r);
+        self.ingress.lost_value.fetch_add(value, r);
+    }
+
+    /// Reads just the net ingress tallies with relaxed loads; cheap enough
+    /// for the supervisor to call while assembling a flight dump.
+    pub fn net_counts(&self) -> NetCounts {
+        let r = Ordering::Relaxed;
+        let i = &self.ingress;
+        NetCounts {
+            datagrams: i.net_datagrams.load(r),
+            frames: i.net_frames.load(r),
+            decode_errors: i.net_decode_errors.load(r),
+            truncations: i.net_truncations.load(r),
+        }
+    }
+
+    /// Reads the shard block through its seqlock, then adds the ingress
+    /// tallies (see the module docs for the consistency contract).
+    pub fn snapshot(&self) -> StatSnapshot {
+        let mut s = self.shard.read();
+        let r = Ordering::Relaxed;
+        let i = &self.ingress;
+        s.dropped_backpressure = i.backpressure.load(r);
+        let lost = i.lost.load(r);
+        s.dropped_shard_failure += lost;
+        s.dropped_net_decode = i.net_decode.load(r);
+        s.arrived += s.dropped_backpressure + lost + s.dropped_net_decode;
+        s.arrived_value += i.backpressure_value.load(r) + i.lost_value.load(r);
+        s.net = self.net_counts();
+        s
     }
 }
 
@@ -339,7 +320,8 @@ impl StatCell {
 /// [`StatSnapshot::merge`], of several).
 #[derive(Debug, Clone, Default)]
 pub struct StatSnapshot {
-    /// Packets offered to admission control.
+    /// Packets offered to the datapath: to admission control, or rejected
+    /// upstream of it (backpressure, shard failure, net decode).
     pub arrived: u64,
     /// Total intrinsic value offered.
     pub arrived_value: u64,
@@ -351,14 +333,17 @@ pub struct StatSnapshot {
     pub dropped_policy: u64,
     /// Packets rejected upstream by full ingress rings.
     pub dropped_backpressure: u64,
-    /// Packets lost to abandoned (given-up) shards.
+    /// Packets lost to shard deaths: popped by an incarnation that died
+    /// mid-slot, left in an abandoned shard's rings, or sent into its
+    /// closed rings.
     pub dropped_shard_failure: u64,
     /// Frames lost to network decoding (truncation or failed validation).
     pub dropped_net_decode: u64,
     /// Socket-level receive tallies of the net ingress feeding this shard
     /// (all zero when the datapath runs without a network plane).
     pub net: NetCounts,
-    /// Resident packets evicted to make room.
+    /// Resident packets evicted to make room, or lost in a dead
+    /// incarnation's buffer.
     pub pushed_out: u64,
     /// Packets transmitted.
     pub transmitted: u64,
@@ -466,172 +451,190 @@ impl StatSnapshot {
     }
 }
 
-/// Per-slot tallies the observer accumulates in plain locals before folding
-/// them into the shared cell at slot end.
-#[derive(Debug, Default)]
-struct Pending {
-    arrived: u64,
-    arrived_value: u64,
-    admitted: u64,
-    dropped_buffer_full: u64,
-    dropped_policy: u64,
-    dropped_backpressure: u64,
-    dropped_shard_failure: u64,
-    dropped_net_decode: u64,
-    pushed_out: u64,
-    transmitted: u64,
-    transmitted_value: u64,
-    flushed: u64,
-}
-
-/// The [`Observer`] feeding a shard's [`StatCell`].
+/// The [`Observer`] feeding a shard's [`StatCell`]: the cell's only writer.
 ///
-/// Per-packet hooks touch only plain locals; the cell's atomics are written
-/// once per slot (and on supervision events, so a dying shard's partial
-/// slot is not lost). Dropping the observer flushes any remaining tallies.
+/// The packet counts it publishes are the switch's own `Counters`, handed
+/// over once per slot through [`Observer::slot_counters`] and rebased by the
+/// supervisor after every shard death ([`Observer::counters_rebased`]); it
+/// counts nothing `Counters` already holds. It keeps only the buffer-full
+/// drop and flush tallies, the cumulative latency histogram and the gauges,
+/// and publishes them in the same seqlock write section.
+///
+/// What the cell holds is what the last completed slot committed: when a
+/// slot dies half-way, the rebase reloads the observer's tallies from the
+/// cell, voiding the dead slot's share (the supervisor books its packets as
+/// shard failures instead).
 #[derive(Debug)]
 pub struct TelemetryObserver {
     cell: Arc<StatCell>,
-    pending: Pending,
+    /// Corrected counters of the shard's finished incarnations; the live
+    /// incarnation's counters add on top.
+    base: Counters,
+    dropped_buffer_full: u64,
+    flushed: u64,
     latency: LogHistogram,
+    slots: u64,
+    occupancy: u64,
+    queue_depth: u64,
+    queue_hwm: u64,
+    panics: u64,
+    restarts: u64,
+    failures: u64,
+    /// Histogram buckets recorded into since the last publish.
+    touched: u128,
 }
 
 impl TelemetryObserver {
-    /// Creates an observer writing into `cell`.
+    /// Creates an observer writing into `cell`, which must have no other
+    /// observer.
     pub fn new(cell: Arc<StatCell>) -> Self {
         TelemetryObserver {
             cell,
-            pending: Pending::default(),
+            base: Counters::new(),
+            dropped_buffer_full: 0,
+            flushed: 0,
             latency: LogHistogram::new(),
+            slots: 0,
+            occupancy: 0,
+            queue_depth: 0,
+            queue_hwm: 0,
+            panics: 0,
+            restarts: 0,
+            failures: 0,
+            touched: 0,
         }
     }
 
-    fn flush_pending(&mut self) {
-        let r = Ordering::Relaxed;
-        let p = std::mem::take(&mut self.pending);
-        let c = &*self.cell;
-        if p.arrived != 0 {
-            c.arrived.fetch_add(p.arrived, r);
-        }
-        if p.arrived_value != 0 {
-            c.arrived_value.fetch_add(p.arrived_value, r);
-        }
-        if p.admitted != 0 {
-            c.admitted.fetch_add(p.admitted, r);
-        }
-        if p.dropped_buffer_full != 0 {
-            c.dropped_buffer_full.fetch_add(p.dropped_buffer_full, r);
-        }
-        if p.dropped_policy != 0 {
-            c.dropped_policy.fetch_add(p.dropped_policy, r);
-        }
-        if p.dropped_backpressure != 0 {
-            c.dropped_backpressure.fetch_add(p.dropped_backpressure, r);
-        }
-        if p.dropped_shard_failure != 0 {
-            c.dropped_shard_failure
-                .fetch_add(p.dropped_shard_failure, r);
-        }
-        if p.dropped_net_decode != 0 {
-            c.dropped_net_decode.fetch_add(p.dropped_net_decode, r);
-        }
-        if p.pushed_out != 0 {
-            c.pushed_out.fetch_add(p.pushed_out, r);
-        }
-        if p.transmitted != 0 {
-            c.transmitted.fetch_add(p.transmitted, r);
-        }
-        if p.transmitted_value != 0 {
-            c.transmitted_value.fetch_add(p.transmitted_value, r);
-        }
-        if p.flushed != 0 {
-            c.flushed.fetch_add(p.flushed, r);
-        }
-        if self.latency.count() > 0 {
-            c.latency.merge_delta(&self.latency);
-            self.latency = LogHistogram::new();
-        }
+    /// Runs `stores` as one seqlock write section on the shard block: the
+    /// epoch goes odd, the stores land, the epoch goes even with release
+    /// ordering. Every store in it is a plain relaxed one.
+    fn write(&self, stores: impl FnOnce(&ShardBlock)) {
+        let b = &self.cell.shard;
+        // The observer is the block's only writer: the epoch it loads is
+        // its own last store.
+        let epoch = b.epoch.load(Ordering::Relaxed);
+        b.epoch.store(epoch + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        stores(b);
+        b.epoch.store(epoch + 2, Ordering::Release);
+    }
+
+    /// Publishes `base + live` as the shard's counters, with the tallies,
+    /// gauges and histogram that go with them. Of the histogram buckets
+    /// only the touched ones are stored; the others have not moved since
+    /// the last publish.
+    fn publish(&mut self, live: &Counters) {
+        let touched = std::mem::take(&mut self.touched);
+        let base = &self.base;
+        let total = |f: fn(&Counters) -> u64| f(base) + f(live);
+        self.write(|b| {
+            let r = Ordering::Relaxed;
+            b.arrived.store(total(Counters::arrived), r);
+            b.arrived_value.store(total(Counters::arrived_value), r);
+            b.admitted.store(total(Counters::admitted), r);
+            b.dropped_buffer_full.store(self.dropped_buffer_full, r);
+            b.dropped_policy.store(
+                total(Counters::dropped_at_switch).saturating_sub(self.dropped_buffer_full),
+                r,
+            );
+            b.dropped_shard_failure
+                .store(total(Counters::dropped_shard_failure), r);
+            b.pushed_out
+                .store(total(Counters::pushed_out).saturating_sub(self.flushed), r);
+            b.flushed.store(self.flushed, r);
+            b.transmitted.store(total(Counters::transmitted), r);
+            b.transmitted_value
+                .store(total(Counters::transmitted_value), r);
+            b.slots.store(self.slots, r);
+            b.occupancy.store(self.occupancy, r);
+            b.queue_depth.store(self.queue_depth, r);
+            b.queue_hwm.store(self.queue_hwm, r);
+            let counts = self.latency.bucket_counts();
+            let mut bits = touched;
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                b.latency.0[i].store(counts[i], r);
+                bits &= bits - 1;
+            }
+            b.latency_count.store(self.latency.count(), r);
+            b.latency_sum.store(self.latency.sum(), r);
+            b.latency_min.store(self.latency.min(), r);
+            b.latency_max.store(self.latency.max(), r);
+        });
     }
 }
 
 impl Observer for TelemetryObserver {
-    fn arrival(&mut self, _slot: u64, _port: PortId, _work: u32, value: u64) {
-        self.pending.arrived += 1;
-        self.pending.arrived_value += value;
-    }
-
-    fn admitted(&mut self, _slot: u64, _port: PortId) {
-        self.pending.admitted += 1;
-    }
-
     fn dropped(&mut self, _slot: u64, _port: PortId, reason: DropReason) {
-        match reason {
-            DropReason::BufferFull => self.pending.dropped_buffer_full += 1,
-            DropReason::Policy => self.pending.dropped_policy += 1,
-            DropReason::Backpressure => self.pending.dropped_backpressure += 1,
-            DropReason::ShardFailure => self.pending.dropped_shard_failure += 1,
-            DropReason::NetDecode => self.pending.dropped_net_decode += 1,
+        if reason == DropReason::BufferFull {
+            self.dropped_buffer_full += 1;
         }
     }
 
-    fn backpressure(&mut self, _slot: u64, packets: u64) {
-        self.pending.dropped_backpressure += packets;
-    }
-
-    fn pushed_out(&mut self, _slot: u64, _victim: PortId) {
-        self.pending.pushed_out += 1;
-    }
-
-    fn transmitted(&mut self, _slot: u64, _port: PortId, latency: u64, value: u64) {
-        self.pending.transmitted += 1;
-        self.pending.transmitted_value += value;
+    fn transmitted(&mut self, _slot: u64, _port: PortId, latency: u64, _value: u64) {
         self.latency.record(latency);
+        self.touched |= 1 << LogHistogram::bucket(latency);
     }
 
     fn flush(&mut self, _slot: u64, discarded: u64) {
-        self.pending.flushed += discarded;
+        self.flushed += discarded;
     }
 
     fn slot_end(&mut self, _slot: u64, occupancy: usize) {
-        self.flush_pending();
-        self.cell
-            .occupancy
-            .store(occupancy as u64, Ordering::Relaxed);
-        self.cell.slots.fetch_add(1, Ordering::Relaxed);
+        self.slots += 1;
+        self.occupancy = occupancy as u64;
     }
 
     fn queue_depth(&mut self, _slot: u64, depth: u64) {
-        self.cell.queue_depth.store(depth, Ordering::Relaxed);
-        self.cell.queue_hwm.fetch_max(depth, Ordering::Relaxed);
+        self.queue_depth = depth;
+        self.queue_hwm = self.queue_hwm.max(depth);
+    }
+
+    fn slot_counters(&mut self, _slot: u64, counters: &Counters) {
+        self.publish(counters);
+    }
+
+    fn counters_rebased(&mut self, totals: &Counters) {
+        self.base = *totals;
+        // Void what an unfinished slot tallied: back to the last publish.
+        // The observer wrote the cell itself, so its relaxed loads return
+        // exactly its own last stores.
+        let committed = self.cell.shard.read_relaxed();
+        self.dropped_buffer_full = committed.dropped_buffer_full;
+        self.flushed = committed.flushed;
+        self.latency = committed.latency;
+        self.touched = 0;
+        // The corrected books balance, so what they leave admitted but
+        // neither transmitted nor evicted is resident: nothing after a
+        // death (its buffer was booked as evicted), the final buffer at
+        // the end of a run without a final drain.
+        self.occupancy = totals
+            .admitted()
+            .saturating_sub(totals.transmitted())
+            .saturating_sub(totals.pushed_out());
+        self.publish(&Counters::new());
     }
 
     fn shard_started(&mut self, buffer_limit: usize, ports: usize) {
-        self.cell
-            .buffer_limit
-            .store(buffer_limit as u64, Ordering::Relaxed);
-        self.cell.ports.store(ports as u64, Ordering::Relaxed);
+        self.write(|b| {
+            b.buffer_limit.store(buffer_limit as u64, Ordering::Relaxed);
+            b.ports.store(ports as u64, Ordering::Relaxed);
+        });
     }
 
     fn shard_panicked(&mut self, _slot: u64, _orphans: u64) {
-        // The dying slot never reached slot_end; publish its partial tallies.
-        self.flush_pending();
-        self.cell.panics.fetch_add(1, Ordering::Relaxed);
+        self.panics += 1;
+        self.write(|b| b.panics.store(self.panics, Ordering::Relaxed));
     }
 
     fn shard_restarted(&mut self, _slot: u64, _attempt: u64) {
-        self.cell.restarts.fetch_add(1, Ordering::Relaxed);
+        self.restarts += 1;
+        self.write(|b| b.restarts.store(self.restarts, Ordering::Relaxed));
     }
 
-    fn shard_failed(&mut self, _slot: u64, orphans: u64) {
-        self.pending.dropped_shard_failure += orphans;
-        self.flush_pending();
-        self.cell.failures.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl Drop for TelemetryObserver {
-    fn drop(&mut self) {
-        self.flush_pending();
+    fn shard_failed(&mut self, _slot: u64, _orphans: u64) {
+        self.failures += 1;
+        self.write(|b| b.failures.store(self.failures, Ordering::Relaxed));
     }
 }
 
@@ -1066,24 +1069,30 @@ mod tests {
     }
 
     #[test]
-    fn observer_folds_into_cell_per_slot() {
+    fn observer_publishes_the_slot_counters() {
         let cell = Arc::new(StatCell::new());
         let mut obs = TelemetryObserver::new(Arc::clone(&cell));
         obs.shard_started(64, 8);
-        obs.arrival(0, PortId::new(1), 2, 5);
-        obs.admitted(0, PortId::new(1));
-        obs.arrival(0, PortId::new(2), 1, 3);
+        let mut c = Counters::new();
+        c.record_arrival(5);
+        c.record_admission(5);
+        c.record_arrival(3);
+        c.record_drop(3);
+        c.record_transmission(5, 4);
         obs.dropped(0, PortId::new(2), DropReason::BufferFull);
         obs.transmitted(0, PortId::new(1), 4, 5);
-        // Nothing published until the slot ends.
-        assert_eq!(cell.snapshot().arrived, 0);
         obs.slot_end(0, 0);
         obs.queue_depth(0, 3);
+        // Nothing counted is published until the slot's counters arrive.
+        assert_eq!(cell.snapshot().arrived, 0);
+        assert_eq!(cell.snapshot().buffer_limit, 64);
+        obs.slot_counters(0, &c);
         let s = cell.snapshot();
         assert_eq!(s.arrived, 2);
         assert_eq!(s.arrived_value, 8);
         assert_eq!(s.admitted, 1);
         assert_eq!(s.dropped_buffer_full, 1);
+        assert_eq!(s.dropped_policy, 0);
         assert_eq!(s.transmitted, 1);
         assert_eq!(s.transmitted_value, 5);
         assert_eq!(s.slots, 1);
@@ -1094,42 +1103,84 @@ mod tests {
         assert_eq!(s.latency.count(), 1);
         assert_eq!(s.latency.max(), 4);
         // The high-watermark survives a lower gauge value.
+        obs.slot_end(1, 0);
         obs.queue_depth(1, 1);
+        obs.slot_counters(1, &c);
         let s = cell.snapshot();
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.queue_hwm, 3);
+        assert_eq!(s.latency.count(), 1, "no transmissions in slot 1");
     }
 
     #[test]
-    fn drop_flushes_partial_slot() {
-        let cell = Arc::new(StatCell::new());
-        {
-            let mut obs = TelemetryObserver::new(Arc::clone(&cell));
-            obs.arrival(0, PortId::new(0), 1, 1);
-            obs.admitted(0, PortId::new(0));
-        }
-        let s = cell.snapshot();
-        assert_eq!(s.arrived, 1);
-        assert_eq!(s.admitted, 1);
-        assert_eq!(s.slots, 0);
-    }
-
-    #[test]
-    fn supervision_hooks_flush_and_count() {
+    fn flushes_split_out_of_push_outs() {
         let cell = Arc::new(StatCell::new());
         let mut obs = TelemetryObserver::new(Arc::clone(&cell));
-        obs.arrival(9, PortId::new(0), 1, 1);
-        obs.shard_panicked(9, 4);
-        obs.shard_restarted(9, 1);
-        obs.shard_failed(20, 7);
+        let mut c = Counters::new();
+        for _ in 0..4 {
+            c.record_arrival(1);
+            c.record_admission(1);
+        }
+        c.record_push_out(1);
+        c.record_flush(2, 2);
+        obs.flush(0, 2);
+        obs.slot_end(0, 1);
+        obs.slot_counters(0, &c);
         let s = cell.snapshot();
-        assert_eq!(s.arrived, 1, "partial slot published by the panic hook");
-        assert_eq!(s.panics, 1);
-        assert_eq!(s.restarts, 1);
-        assert_eq!(s.failures, 1);
-        assert_eq!(s.dropped_shard_failure, 7);
+        assert_eq!(s.pushed_out, 1);
+        assert_eq!(s.flushed, 2);
+        assert_eq!(
+            s.admitted,
+            s.transmitted + s.pushed_out + s.flushed + s.occupancy
+        );
     }
 
+    #[test]
+    fn a_rebase_voids_the_unfinished_slot_and_counts_on_from_the_totals() {
+        let cell = Arc::new(StatCell::new());
+        let mut obs = TelemetryObserver::new(Arc::clone(&cell));
+        let mut c = Counters::new();
+        c.record_arrival(1);
+        c.record_admission(1);
+        obs.slot_end(0, 1);
+        obs.slot_counters(0, &c);
+        // Slot 1 dies half-way: its tallies never reach the cell.
+        obs.dropped(1, PortId::new(0), DropReason::BufferFull);
+        obs.transmitted(1, PortId::new(0), 7, 1);
+        obs.shard_panicked(1, 4);
+        // The supervisor books the resident packet as evicted and the
+        // unfinished slot's two arrivals as shard failures.
+        let mut totals = c;
+        totals.record_flush(1, 1);
+        totals.record_shard_failure_bulk(2, 2);
+        obs.counters_rebased(&totals);
+        obs.shard_restarted(1, 1);
+        let s = cell.snapshot();
+        assert_eq!(s.arrived, 3);
+        assert_eq!(s.dropped_shard_failure, 2);
+        assert_eq!(s.dropped_buffer_full, 0, "the dead slot's drop is void");
+        assert_eq!(s.latency.count(), 0, "the dead slot's transmission is void");
+        assert_eq!(s.pushed_out, 1);
+        assert_eq!(s.occupancy, 0);
+        assert_eq!(s.panics, 1);
+        assert_eq!(s.restarts, 1);
+        // The replacement counts from zero on top of the totals.
+        let mut live = Counters::new();
+        live.record_arrival(1);
+        live.record_admission(1);
+        live.record_transmission(1, 0);
+        obs.transmitted(2, PortId::new(0), 0, 1);
+        obs.slot_end(2, 0);
+        obs.slot_counters(2, &live);
+        obs.shard_failed(3, 0);
+        let s = cell.snapshot();
+        assert_eq!(s.arrived, 4);
+        assert_eq!(s.admitted, 2);
+        assert_eq!(s.transmitted, 1);
+        assert_eq!(s.latency.count(), 1);
+        assert_eq!(s.slots, 2);
+        assert_eq!(s.failures, 1);
+    }
     #[test]
     fn record_net_is_multi_writer_and_snapshots() {
         let cell = Arc::new(StatCell::new());
@@ -1167,7 +1218,7 @@ mod tests {
     }
 
     #[test]
-    fn record_backpressure_is_multi_writer_and_counts_arrivals() {
+    fn producer_tallies_are_multi_writer_and_count_arrivals() {
         let cell = Arc::new(StatCell::new());
         let writers: Vec<_> = (0..4)
             .map(|_| {
@@ -1175,6 +1226,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..1_000 {
                         c.record_backpressure(3, 7);
+                        c.record_lost(1, 2);
                     }
                 })
             })
@@ -1183,10 +1235,11 @@ mod tests {
             w.join().unwrap();
         }
         let s = cell.snapshot();
-        assert_eq!(s.arrived, 12_000);
-        assert_eq!(s.arrived_value, 28_000);
+        assert_eq!(s.arrived, 16_000);
+        assert_eq!(s.arrived_value, 36_000);
         assert_eq!(s.dropped_backpressure, 12_000);
-        assert_eq!(s.dropped_total(), 12_000);
+        assert_eq!(s.dropped_shard_failure, 4_000);
+        assert_eq!(s.dropped_total(), 16_000);
         assert_eq!(s.admitted, 0);
     }
 
@@ -1222,14 +1275,18 @@ mod tests {
         let writer_cell = Arc::clone(&cell);
         let writer = std::thread::spawn(move || {
             let mut obs = TelemetryObserver::new(writer_cell);
+            let mut c = Counters::new();
             for slot in 0..4_000u64 {
                 for k in 0..16u64 {
                     let port = PortId::new((k % 4) as usize);
-                    obs.arrival(slot, port, 1, 1);
-                    obs.admitted(slot, port);
-                    obs.transmitted(slot, port, (slot * 7 + k) % 257, 1);
+                    let latency = (slot * 7 + k) % 257;
+                    c.record_arrival(1);
+                    c.record_admission(1);
+                    c.record_transmission(1, latency);
+                    obs.transmitted(slot, port, latency, 1);
                 }
                 obs.slot_end(slot, 0);
+                obs.slot_counters(slot, &c);
             }
         });
         let mut last_count = 0u64;
@@ -1258,6 +1315,73 @@ mod tests {
     }
 
     #[test]
+    fn mid_run_snapshots_conserve_packets() {
+        // The writer publishes conserving counters every slot: admissions
+        // into a 16-packet buffer, buffer-full drops and push-outs once it
+        // is full, a periodic flush, and up to five transmissions a slot.
+        // Every snapshot a concurrent reader takes must be one boundary's
+        // state, so both conservation laws hold in each of them.
+        let cell = Arc::new(StatCell::new());
+        let writer_cell = Arc::clone(&cell);
+        let writer = std::thread::spawn(move || {
+            let mut obs = TelemetryObserver::new(writer_cell);
+            let mut c = Counters::new();
+            let mut resident = 0u64;
+            let port = PortId::new(0);
+            for slot in 0..20_000u64 {
+                if slot % 97 == 96 {
+                    c.record_flush(resident, resident);
+                    obs.flush(slot, resident);
+                    resident = 0;
+                }
+                for k in 0..8u64 {
+                    c.record_arrival(1);
+                    if resident < 16 {
+                        c.record_admission(1);
+                        resident += 1;
+                    } else if k % 2 == 0 {
+                        c.record_push_out(1);
+                        c.record_admission(1);
+                        obs.pushed_out(slot, port);
+                    } else {
+                        c.record_drop(1);
+                        obs.dropped(slot, port, DropReason::BufferFull);
+                    }
+                }
+                for _ in 0..resident.min(5) {
+                    c.record_transmission(1, slot % 31);
+                    obs.transmitted(slot, port, slot % 31, 1);
+                    resident -= 1;
+                }
+                obs.slot_end(slot, resident as usize);
+                obs.slot_counters(slot, &c);
+            }
+        });
+        let mut snapshots = 0u64;
+        while !writer.is_finished() {
+            let s = cell.snapshot();
+            assert_eq!(s.arrived, s.admitted + s.dropped_total(), "{s:?}");
+            assert_eq!(
+                s.admitted,
+                s.transmitted + s.pushed_out + s.flushed + s.occupancy,
+                "{s:?}"
+            );
+            assert_eq!(s.latency.count(), s.transmitted, "{s:?}");
+            assert_eq!(s.dropped_policy, 0);
+            snapshots += 1;
+        }
+        writer.join().unwrap();
+        assert!(snapshots > 0);
+        let s = cell.snapshot();
+        assert_eq!(s.arrived, 20_000 * 8);
+        assert!(s.flushed > 0 && s.pushed_out > 0 && s.dropped_buffer_full > 0);
+        assert_eq!(
+            s.admitted,
+            s.transmitted + s.pushed_out + s.flushed + s.occupancy
+        );
+    }
+
+    #[test]
     fn sampler_collects_at_least_first_and_final_samples() {
         let cells: Vec<Arc<StatCell>> = (0..2).map(|_| Arc::new(StatCell::new())).collect();
         let sampler = TelemetrySampler::spawn(
@@ -1270,9 +1394,11 @@ mod tests {
         .unwrap();
         {
             let mut obs = TelemetryObserver::new(Arc::clone(&cells[1]));
-            obs.arrival(0, PortId::new(0), 1, 2);
-            obs.admitted(0, PortId::new(0));
+            let mut c = Counters::new();
+            c.record_arrival(2);
+            c.record_admission(2);
             obs.slot_end(0, 1);
+            obs.slot_counters(0, &c);
         }
         let report = sampler.stop();
         assert!(report.ticks >= 2, "initial + final samples guaranteed");
@@ -1325,10 +1451,13 @@ mod tests {
         {
             let mut obs = TelemetryObserver::new(Arc::clone(&cells[0]));
             obs.shard_started(32, 4);
-            obs.arrival(0, PortId::new(0), 1, 1);
-            obs.admitted(0, PortId::new(0));
+            let mut c = Counters::new();
+            c.record_arrival(1);
+            c.record_admission(1);
+            c.record_transmission(1, 2);
             obs.transmitted(0, PortId::new(0), 2, 1);
             obs.slot_end(0, 0);
+            obs.slot_counters(0, &c);
         }
         let report = sampler.stop();
         assert!(report.errors.is_empty(), "{:?}", report.errors);

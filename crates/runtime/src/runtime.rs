@@ -241,8 +241,7 @@ impl<P: Copy> IngressHandle<P> {
             Err(PushError::Full(_)) => unreachable!("blocking push never reports full"),
             Err(PushError::Closed(batch)) => {
                 let value: u64 = batch.packets.iter().map(|&p| (self.meta)(p).2).sum();
-                self.stats.lost_packets.fetch_add(n, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_lost(n, value);
                 false
             }
         }
@@ -267,8 +266,7 @@ impl<P: Copy> IngressHandle<P> {
             }
             Err(PushError::Closed(batch)) => {
                 let value: u64 = batch.packets.iter().map(|&p| (self.meta)(p).2).sum();
-                self.stats.lost_packets.fetch_add(n, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_lost(n, value);
                 SendOutcome::Disconnected
             }
         }
@@ -303,8 +301,7 @@ impl<P: Copy> IngressHandle<P> {
                 self.stats
                     .sent_packets
                     .fetch_add(n - lost, Ordering::Relaxed);
-                self.stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_lost(lost, value);
                 false
             }
         }
@@ -345,8 +342,7 @@ impl<P: Copy> IngressHandle<P> {
                 self.stats
                     .sent_packets
                     .fetch_add(n - lost, Ordering::Relaxed);
-                self.stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_lost(lost, value);
                 rest
             }
         };
@@ -371,6 +367,20 @@ impl<P: Copy> IngressHandle<P> {
             .fetch_add(value, Ordering::Relaxed);
         if let Some(cell) = &self.cell {
             cell.record_backpressure(packets, value);
+        }
+    }
+
+    /// Tallies packets sent into the dead shard's closed ring: in this
+    /// producer's report and, when telemetry is attached, in the target
+    /// shard's [`StatCell`], so the final sample carries the shard-failure
+    /// drops the final report folds in.
+    fn record_lost(&self, packets: u64, value: u64) {
+        self.stats
+            .lost_packets
+            .fetch_add(packets, Ordering::Relaxed);
+        self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+        if let Some(cell) = &self.cell {
+            cell.record_lost(packets, value);
         }
     }
 
@@ -737,7 +747,10 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
 ///   value is recovered from the snapshot's value law
 ///   (`admitted - transmitted - pushed_out`);
 /// * the ring backlog is left in place for the replacement (or drained as
-///   shard-failure drops on give-up).
+///   shard-failure drops on give-up);
+/// * the corrected totals go to `obs` ([`Observer::counters_rebased`]),
+///   after every death and once more at exit, so the telemetry plane
+///   publishes exactly the books this report closes with.
 #[allow(clippy::too_many_arguments)]
 fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
     shard_id: usize,
@@ -844,6 +857,7 @@ fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
                     .record_flush(progress.occupancy as u64, resident_v);
                 progress.occupancy = 0;
                 acc.absorb(&progress);
+                obs.counters_rebased(&acc.counters);
 
                 if restarts >= supervision.restart_budget {
                     gave_up = true;
@@ -898,6 +912,9 @@ fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
     if drained_p > 0 {
         acc.counters.record_shard_failure_bulk(drained_p, drained_v);
     }
+    // The shard's books are closed: publish them, so the telemetry plane's
+    // final sample carries exactly this report's counters.
+    obs.counters_rebased(&acc.counters);
 
     let mut report = acc.into_report(shard_id, started.elapsed());
     report.restarts = restarts;

@@ -363,7 +363,7 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
 ) {
     progress.label = service.label();
     obs.shard_started(service.buffer_limit(), service.ports());
-    let mut machine = SlotMachine::new(service, config.flush).emit_queue_depth(true);
+    let mut machine = SlotMachine::new(service, config.flush).live_telemetry(true);
     let mut burst: Vec<S::Packet> = Vec::new();
     // Batches claimed from one ring this cycle; freerun drains the backlog
     // bulk (one ring claim — a single index advance — per ring, up to
@@ -474,8 +474,7 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
             // The slot is left incomplete: emit the end-of-slot events the
             // machine skipped, record the failure, and join.
             progress.error = Some(e.to_string());
-            obs.slot_end(slot, machine.occupancy());
-            obs.queue_depth(slot, machine.system().max_queue_depth() as u64);
+            machine.emit_slot_end(slot, obs);
             let stats = *machine.stats();
             progress.record(machine.system(), &stats);
             break;

@@ -1,10 +1,9 @@
 //! Telemetry-plane acceptance: live snapshots must reconcile exactly with
 //! the datapath's final report, and shard deaths must leave a post-mortem.
 //!
-//! The reconciliation runs are fault-free on purpose: supervision recovers a
-//! dead incarnation's books by gap accounting on the supervisor thread,
-//! which bypasses the observer hooks, so only a clean run promises that the
-//! stat cells and the switch counters tell the same story packet-for-packet.
+//! The stat cells publish the switch's own counters, and the supervisor
+//! hands its corrected books over after every shard death, so the final
+//! sample reconciles exactly with faults injected too.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -193,4 +192,66 @@ fn exhausted_budget_leaves_panic_and_gave_up_dumps() {
     assert_eq!(dump.matches("\"reason\":\"panic\"").count(), 2);
     assert_eq!(dump.matches("\"reason\":\"gave_up\"").count(), 1);
     assert!(dump.contains("\"type\":\"shard_failed\""));
+}
+
+#[test]
+fn final_sample_matches_the_report_across_restart_and_give_up() {
+    // One restart, then an exhausted budget: either way the supervisor
+    // books the dead incarnation's resident buffer, its unfinished slot and
+    // (on give-up) the abandoned ring backlog and late sends, and the stat
+    // cell must carry exactly those books.
+    for (faults, budget) in [("panic@5", 3), ("panic@5", 0)] {
+        let mut cfg = loadgen_config(1);
+        cfg.faults = FaultPlan::parse(faults).unwrap();
+        cfg.restart_budget = budget;
+        cfg.telemetry = Some(TelemetryConfig {
+            interval: Duration::from_millis(5),
+            ..TelemetryConfig::default()
+        });
+        let report = run_loadgen(&cfg).unwrap();
+        let gave_up = budget == 0;
+        assert_eq!(report.runtime.shard_panics, 1, "{faults} budget {budget}");
+        assert_eq!(report.runtime.shards_gave_up(), usize::from(gave_up));
+
+        let c = report.counters();
+        assert!(c.check_conservation(0).is_ok());
+        if gave_up {
+            assert!(c.dropped_shard_failure() > 0, "a backlog was abandoned");
+        }
+        let last = report
+            .runtime
+            .telemetry
+            .as_ref()
+            .and_then(|t| t.last())
+            .expect("final sample")
+            .total
+            .clone();
+        let what = format!("{faults} budget {budget}: {last:?}");
+        assert_eq!(last.arrived, c.arrived(), "{what}");
+        assert_eq!(last.arrived_value, c.arrived_value(), "{what}");
+        assert_eq!(last.admitted, c.admitted(), "{what}");
+        assert_eq!(
+            last.dropped_buffer_full + last.dropped_policy,
+            c.dropped_at_switch(),
+            "{what}"
+        );
+        assert_eq!(
+            last.dropped_backpressure,
+            c.dropped_backpressure(),
+            "{what}"
+        );
+        assert_eq!(
+            last.dropped_shard_failure,
+            c.dropped_shard_failure(),
+            "{what}"
+        );
+        assert_eq!(last.pushed_out + last.flushed, c.pushed_out(), "{what}");
+        assert_eq!(last.transmitted, c.transmitted(), "{what}");
+        assert_eq!(last.transmitted_value, c.transmitted_value(), "{what}");
+        assert_eq!(last.latency.count(), c.transmitted(), "{what}");
+        assert_eq!(last.occupancy, 0, "{what}");
+        assert_eq!(last.panics, 1, "{what}");
+        assert_eq!(last.restarts, report.runtime.restarts(), "{what}");
+        assert_eq!(last.failures, u64::from(gave_up), "{what}");
+    }
 }
